@@ -181,20 +181,18 @@ fn reduce_and_attribute_cached(
 
 /// The full hierarchical pipeline over the same workload: session units →
 /// statement ddmin → expression shrinking, evaluated through a
-/// [`DifferentialJudge`] sharing the prefix-keyed cache, with `workers`
-/// wave-parallel candidate evaluators.  Returns the same work measure as
-/// the other variants plus the reducer's phase counters.
+/// [`DifferentialJudge`] sharing the prefix-keyed cache.  Returns the
+/// same work measure as the other variants plus the reducer's phase
+/// counters.
 fn reduce_and_attribute_hierarchical(
     detections: &[(Vec<Statement>, ReproSpec)],
     profile: &BugProfile,
-    workers: usize,
-) -> (usize, Vec<String>, ReductionStats) {
+) -> (usize, ReductionStats) {
     let none = BugProfile::none();
     let mut cache = ReplayCache::new(Dialect::Sqlite);
     let mut work = 0usize;
-    let mut repros = Vec::new();
     let mut totals = ReductionStats::default();
-    let options = ReduceOptions { workers, ..ReduceOptions::default() };
+    let options = ReduceOptions::default();
     for (statements, repro) in detections {
         {
             let mut session = ReplaySession::new(&mut cache, "containment", statements);
@@ -213,9 +211,8 @@ fn reduce_and_attribute_hierarchical(
             .iter()
             .filter(|bug| session.reproduces_all(&BugProfile::with(&[*bug]), repro))
             .count();
-        repros.extend(reduction.statements.iter().map(ToString::to_string));
     }
-    (work, repros, totals)
+    (work, totals)
 }
 
 fn bench_reduction_attribution(c: &mut Criterion) {
@@ -229,13 +226,9 @@ fn bench_reduction_attribution(c: &mut Criterion) {
         profile.is_enabled(BugId::SqlitePartialIndexImpliesNotNull),
         "the Listing-1 fault must be in the profile"
     );
-    // The parallel reducer must hand back bit-identical repros, and the
-    // expression pass must have judged (and shrunk) something the
+    // The expression pass must have judged (and shrunk) something the
     // statement-only pipeline could not.
-    let (seq_work, seq_repros, stats) = reduce_and_attribute_hierarchical(&detections, &profile, 1);
-    let (par_work, par_repros, _) = reduce_and_attribute_hierarchical(&detections, &profile, 4);
-    assert_eq!(seq_work, par_work, "parallel evaluation changed the outcome");
-    assert_eq!(seq_repros, par_repros, "parallel repros must be bit-identical");
+    let (_, stats) = reduce_and_attribute_hierarchical(&detections, &profile);
     assert!(stats.expression_candidates > 0, "the expression pass must run: {stats:?}");
     assert!(stats.expr_nodes_after < stats.expr_nodes_after_statements, "{stats:?}");
     eprintln!(
@@ -262,14 +255,7 @@ fn bench_reduction_attribution(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(reduce_and_attribute_cached(&detections, &profile)))
     });
     group.bench_function("hierarchical", |b| {
-        b.iter(|| {
-            std::hint::black_box(reduce_and_attribute_hierarchical(&detections, &profile, 1).0)
-        })
-    });
-    group.bench_function("hierarchical_parallel", |b| {
-        b.iter(|| {
-            std::hint::black_box(reduce_and_attribute_hierarchical(&detections, &profile, 4).0)
-        })
+        b.iter(|| std::hint::black_box(reduce_and_attribute_hierarchical(&detections, &profile).0))
     });
     group.finish();
 }

@@ -116,9 +116,9 @@ fn bench_statement_execution(c: &mut Criterion) {
 fn bench_reduction_hier(c: &mut Criterion) {
     // Reductions per second for the hierarchical reducer on a
     // campaign-shaped detection (a Listing-1 partial-index repro buried
-    // in generated-log noise), at the reducer's three operating points:
-    // the PR-4 statement-only baseline, the full hierarchical pipeline,
-    // and the same pipeline with wave-parallel candidate evaluation.
+    // in generated-log noise), at the reducer's two operating points:
+    // the PR-4 statement-only baseline and the full hierarchical
+    // pipeline.
     let mut sql = String::from(
         "CREATE TABLE t0(c0);
          CREATE INDEX i0 ON t0(1) WHERE c0 NOT NULL;
@@ -139,7 +139,6 @@ fn bench_reduction_hier(c: &mut Criterion) {
     for (label, options) in [
         ("statement_only", ReduceOptions::statement_only()),
         ("hierarchical", ReduceOptions::default()),
-        ("hierarchical_4workers", ReduceOptions { workers: 4, ..ReduceOptions::default() }),
     ] {
         group.throughput(Throughput::Elements(1));
         group.bench_with_input(BenchmarkId::from_parameter(label), &options, |b, options| {
@@ -199,7 +198,7 @@ fn bench_replay_resume(c: &mut Criterion) {
 }
 
 fn bench_readonly_query(c: &mut Criterion) {
-    // The expression-pass wave hot path: judging one read-only candidate
+    // The expression-pass hot path: judging one read-only candidate
     // against a fixed database state.  `clone_execute` is the PR-9
     // baseline — CoW-clone the snapshot, then run the candidate through
     // the mutable path; `shared_query` is the read path — ask the shared

@@ -58,42 +58,72 @@ impl Default for ReportOptions {
     }
 }
 
+/// The flags every report binary accepts, for usage lines.
+const FLAGS: &str = "[--seed N] [--databases N] [--queries N] [--threads N] [--norec] [--txn]";
+
+/// Why [`ReportOptions::parse`] produced no options.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgsError {
+    /// `--help` was given.
+    Help,
+    /// An unknown flag, a flag without its value, or a value that does not
+    /// parse or is out of range.
+    Invalid(String),
+}
+
 impl ReportOptions {
-    /// Parses `--seed`, `--databases`, `--queries`, `--threads` and the
-    /// bare `--norec` / `--txn` flags from the process arguments, falling
-    /// back to defaults.
+    /// Parses the process arguments with [`parse`](ReportOptions::parse).
+    /// On `--help` it prints the usage line and exits with code 0; on a
+    /// bad flag it prints the problem and the usage line to stderr and
+    /// exits with code 2.
     #[must_use]
     pub fn from_args() -> ReportOptions {
-        let mut opts = ReportOptions::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            if args[i] == "--norec" {
-                opts.norec = true;
-                i += 1;
-                continue;
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_else(|| "report".to_owned());
+        let args: Vec<String> = args.collect();
+        match ReportOptions::parse(&args) {
+            Ok(opts) => opts,
+            Err(ArgsError::Help) => {
+                println!("usage: {program} {FLAGS}");
+                std::process::exit(0);
             }
-            if args[i] == "--txn" {
-                opts.txn = true;
-                i += 1;
-                continue;
+            Err(ArgsError::Invalid(problem)) => {
+                eprintln!("error: {problem}\nusage: {program} {FLAGS}");
+                std::process::exit(2);
             }
-            let Some(value) = args.get(i + 1) else { break };
-            match args[i].as_str() {
-                "--seed" => opts.seed = value.parse().unwrap_or(opts.seed),
-                "--databases" => opts.databases = value.parse().unwrap_or(opts.databases),
-                "--queries" => {
-                    opts.queries_per_database = value.parse().unwrap_or(opts.queries_per_database);
-                }
-                "--threads" => opts.threads = value.parse().unwrap_or(opts.threads),
-                _ => {
-                    i += 1;
-                    continue;
-                }
-            }
-            i += 2;
         }
-        opts
+    }
+
+    /// Parses `--seed`, `--databases`, `--queries`, `--threads` (each
+    /// followed by a non-negative integer; `--threads` at least 1) and the
+    /// bare `--norec` / `--txn` flags, starting from the defaults.  `args`
+    /// excludes the program name.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgsError::Help`] on `--help`; [`ArgsError::Invalid`] on an
+    /// unknown flag, a missing or unparsable value, or `--threads 0`.
+    pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<ReportOptions, ArgsError> {
+        let mut opts = ReportOptions::default();
+        let mut args = args.iter().map(AsRef::as_ref);
+        while let Some(flag) = args.next() {
+            match flag {
+                "--help" => return Err(ArgsError::Help),
+                "--norec" => opts.norec = true,
+                "--txn" => opts.txn = true,
+                "--seed" => opts.seed = flag_value(flag, args.next())?,
+                "--databases" => opts.databases = flag_value(flag, args.next())?,
+                "--queries" => opts.queries_per_database = flag_value(flag, args.next())?,
+                "--threads" => {
+                    opts.threads = flag_value(flag, args.next())?;
+                    if opts.threads == 0 {
+                        return Err(ArgsError::Invalid("--threads must be at least 1".to_owned()));
+                    }
+                }
+                _ => return Err(ArgsError::Invalid(format!("unknown flag '{flag}'"))),
+            }
+        }
+        Ok(opts)
     }
 
     /// Starts a campaign builder for one dialect with these options
@@ -129,6 +159,12 @@ impl ReportOptions {
     pub fn campaign(&self, dialect: Dialect) -> Campaign {
         self.campaign_builder(dialect).build()
     }
+}
+
+/// Parses the value following `flag`.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<T, ArgsError> {
+    let value = value.ok_or_else(|| ArgsError::Invalid(format!("{flag} needs a value")))?;
+    value.parse().map_err(|_| ArgsError::Invalid(format!("{flag}: cannot parse '{value}'")))
 }
 
 /// Runs the standard evaluation campaign for every dialect.
@@ -239,5 +275,54 @@ mod tests {
         let with_txn = ReportOptions { txn: true, ..ReportOptions::default() };
         let c = with_txn.campaign(Dialect::Mysql);
         assert_eq!(c.oracle_names(), vec!["error", "containment", "tlp", "serializability"]);
+    }
+
+    #[test]
+    fn documented_flags_parse() {
+        let opts = ReportOptions::parse(&[
+            "--seed",
+            "7",
+            "--databases",
+            "3",
+            "--queries",
+            "9",
+            "--threads",
+            "1",
+            "--norec",
+            "--txn",
+        ])
+        .unwrap();
+        assert_eq!(
+            (opts.seed, opts.databases, opts.queries_per_database, opts.threads),
+            (7, 3, 9, 1)
+        );
+        assert!(opts.norec && opts.txn);
+        let defaults = ReportOptions::parse::<&str>(&[]).unwrap();
+        assert_eq!(defaults.databases, ReportOptions::default().databases);
+    }
+
+    #[test]
+    fn help_is_reported() {
+        assert_eq!(ReportOptions::parse(&["--help"]).unwrap_err(), ArgsError::Help);
+        assert_eq!(ReportOptions::parse(&["--seed", "1", "--help"]).unwrap_err(), ArgsError::Help);
+    }
+
+    #[test]
+    fn bad_flags_are_rejected() {
+        for args in [
+            &["--bogus"][..],
+            &["--threads", "x"],
+            &["--threads", "0"],
+            &["--threads", "-1"],
+            &["--databases", "many"],
+            &["--seed"],
+            &["--norec", "--queries"],
+            &["7"],
+        ] {
+            assert!(
+                matches!(ReportOptions::parse(args), Err(ArgsError::Invalid(_))),
+                "accepted {args:?}"
+            );
+        }
     }
 }

@@ -67,7 +67,7 @@ pub use reduce::{
     reduce_hierarchical, reduce_indices, reduce_statements, transactions_well_formed,
     CandidateJudge, FnJudge, ReduceOptions, Reduction, ReductionStats,
 };
-pub use replay::{DifferentialJudge, ReplayCache, ReplayCacheStats, ReplaySession, SharedReplay};
+pub use replay::{DifferentialJudge, ReplayCache, ReplayCacheStats, ReplaySession};
 pub use runner::{
     reproduces, Campaign, CampaignBuilder, CampaignReport, CampaignStats, Detection, FoundBug,
 };

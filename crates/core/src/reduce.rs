@@ -19,24 +19,13 @@
 //!
 //! Every candidate in every phase must satisfy the
 //! [`transactions_well_formed`] guard, so no phase can orphan one half of
-//! a transaction bracket.  Candidate evaluation is memoized per reduction
-//! (ddmin re-asks identical subsets across outer rounds, most blatantly
-//! in the final no-change sweep) and can be fanned out across a small
-//! worker pool; the wave protocol below keeps the parallel reducer's
-//! output bit-identical to the sequential one.
-//!
-//! **Parallel determinism rule.** A generation's candidates are judged in
-//! waves of `workers` candidates, in candidate order.  Every member of a
-//! wave is judged (never aborted early), waves stop as soon as one
-//! contains a passing candidate, and the *lowest-ordinal* passing
-//! candidate wins.  Verdicts are pure functions of the candidate, so the
-//! accepted-candidate sequence — and therefore the reduced repro — is
-//! identical at any worker count; only wall-clock and cache work counters
-//! vary.
+//! a transaction bracket.  Candidates are judged one at a time, in
+//! ordinal order, and the first passing candidate is accepted — the
+//! plain sequential loop of SQLancer's reducer.  Evaluation is memoized
+//! per reduction (ddmin re-asks identical subsets across outer rounds,
+//! most blatantly in the final no-change sweep).
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::mpsc;
-use std::thread;
 use std::time::Instant;
 
 use lancer_sql::ast::{shrink_statement, statement_expr_nodes, Statement};
@@ -156,10 +145,9 @@ pub fn reduce_indices(len: usize, still_fails: &mut dyn FnMut(&[usize]) -> bool)
 /// runner's [`crate::replay::DifferentialJudge`]) never re-render a
 /// statement per candidate; judges that do not replay may ignore it.
 ///
-/// Implementations must be deterministic — the reducer memoizes verdicts
-/// per candidate — and `Sync`, because waves of candidates are judged
-/// from worker threads.
-pub trait CandidateJudge: Sync {
+/// Implementations must be deterministic: the reducer memoizes verdicts
+/// per candidate.
+pub trait CandidateJudge {
     /// Returns `true` iff the candidate still reproduces the failure.
     fn still_fails(&self, stmts: &[&Statement], hashes: &[u64]) -> bool;
 }
@@ -173,15 +161,14 @@ pub struct FnJudge<F>(
 
 impl<F> CandidateJudge for FnJudge<F>
 where
-    F: Fn(&[&Statement]) -> bool + Sync,
+    F: Fn(&[&Statement]) -> bool,
 {
     fn still_fails(&self, stmts: &[&Statement], _hashes: &[u64]) -> bool {
         (self.0)(stmts)
     }
 }
 
-/// Which phases the hierarchical reducer runs, and how wide its
-/// candidate-evaluation waves are.
+/// Which phases the hierarchical reducer runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReduceOptions {
     /// Run the session/transaction-unit pass before statement ddmin.
@@ -193,9 +180,8 @@ pub struct ReduceOptions {
     pub statement_pass: bool,
     /// Run the expression-level shrink pass after statement ddmin.
     pub expression_pass: bool,
-    /// Worker threads for candidate evaluation (clamped to `1..=8`).
-    /// `1` evaluates candidates inline, exactly like the sequential
-    /// reducer; any other count produces bit-identical output.
+    /// Ignored.  The reducer always judges candidates one at a time; the
+    /// field remains so that existing struct literals keep compiling.
     pub workers: usize,
 }
 
@@ -211,17 +197,11 @@ impl Default for ReduceOptions {
 }
 
 impl ReduceOptions {
-    /// The PR-4-era configuration: statement-level ddmin only, evaluated
-    /// sequentially.  The baseline for the hierarchical reducer's
-    /// before/after comparisons.
+    /// The PR-4-era configuration: statement-level ddmin only.  The
+    /// baseline for the hierarchical reducer's before/after comparisons.
     #[must_use]
     pub fn statement_only() -> ReduceOptions {
-        ReduceOptions {
-            session_pass: false,
-            statement_pass: true,
-            expression_pass: false,
-            workers: 1,
-        }
+        ReduceOptions { session_pass: false, expression_pass: false, ..ReduceOptions::default() }
     }
 }
 
@@ -289,10 +269,6 @@ pub struct Reduction {
     pub stats: ReductionStats,
 }
 
-/// Upper bound on candidate-evaluation workers; generation logs are tens
-/// of statements, so wider waves only add dispatch overhead.
-const MAX_WORKERS: usize = 8;
-
 /// Seed for per-reduction candidate memo keys (distinct from the replay
 /// layer's profile-derived key chains).
 const MEMO_SEED: u64 = 0x5245_4455_4345_3038;
@@ -302,8 +278,7 @@ const MEMO_SEED: u64 = 0x5245_4455_4345_3038;
 ///
 /// The input must satisfy `judge` (and the [`transactions_well_formed`]
 /// guard); otherwise it is returned unchanged, like
-/// [`reduce_statements`].  The output at any `options.workers` count is
-/// bit-identical to `workers == 1`.
+/// [`reduce_statements`].
 #[must_use]
 pub fn reduce_hierarchical(
     statements: &[Statement],
@@ -311,218 +286,93 @@ pub fn reduce_hierarchical(
     judge: &dyn CandidateJudge,
 ) -> Reduction {
     let started = Instant::now();
-    let workers = options.workers.clamp(1, MAX_WORKERS);
-    let mut reduction = if workers == 1 {
-        run_reduction(statements, options, judge, None, 1)
-    } else {
-        thread::scope(|scope| {
-            let pool = WavePool::new(scope, judge, workers);
-            run_reduction(statements, options, judge, Some(&pool), workers)
-        })
-    };
+    let mut reduction = run_reduction(statements, options, judge);
     reduction.stats.wall_ms = started.elapsed().as_millis();
     reduction
 }
 
 /// One candidate ready to judge: its memo key, its statements (borrowed
-/// from the input log for index subsets, owned for expression rewrites),
+/// from the input log, or from the working log plus one replacement),
 /// and their replay hashes.
-struct Candidate<'env> {
+struct Candidate<'a> {
     key: u64,
-    payload: Payload<'env>,
+    stmts: Vec<&'a Statement>,
     hashes: Vec<u64>,
 }
 
-enum Payload<'env> {
-    Borrowed(Vec<&'env Statement>),
-    Owned(Vec<Statement>),
-}
-
-impl Payload<'_> {
-    fn refs(&self) -> Vec<&Statement> {
-        match self {
-            Payload::Borrowed(refs) => refs.clone(),
-            Payload::Owned(stmts) => stmts.iter().collect(),
-        }
-    }
-}
-
-/// A candidate dispatched to a pool worker, tagged with its ordinal in
-/// the wave.
-struct Task<'env> {
-    ordinal: usize,
-    candidate: Candidate<'env>,
-}
-
-/// `workers - 1` judging threads fed over channels; the dispatching
-/// thread judges the wave's first candidate itself, so a wave of
-/// `workers` candidates occupies `workers` cores.  The pool lives inside
-/// a [`thread::scope`], so tasks may borrow the input statement log.
-struct WavePool<'env> {
-    senders: Vec<mpsc::Sender<Task<'env>>>,
-    results: mpsc::Receiver<(usize, bool)>,
-}
-
-impl<'env> WavePool<'env> {
-    fn new<'scope>(
-        scope: &'scope thread::Scope<'scope, 'env>,
-        judge: &'env dyn CandidateJudge,
-        workers: usize,
-    ) -> WavePool<'env> {
-        let (result_tx, results) = mpsc::channel();
-        let mut senders = Vec::with_capacity(workers - 1);
-        for _ in 1..workers {
-            let (tx, rx) = mpsc::channel::<Task<'env>>();
-            let result_tx = result_tx.clone();
-            scope.spawn(move || {
-                for task in rx {
-                    let refs = task.candidate.payload.refs();
-                    let verdict = judge.still_fails(&refs, &task.candidate.hashes);
-                    if result_tx.send((task.ordinal, verdict)).is_err() {
-                        break;
-                    }
-                }
-            });
-            senders.push(tx);
-        }
-        WavePool { senders, results }
-    }
-}
-
-/// Per-reduction evaluation state: the judge, the optional worker pool,
-/// the wave width, and the candidate memo.
-struct EvalCtx<'a, 'env> {
+/// Per-reduction evaluation state: the judge and the candidate memo.
+struct EvalCtx<'a> {
     judge: &'a dyn CandidateJudge,
-    pool: Option<&'a WavePool<'env>>,
-    wave: usize,
     memo: HashMap<u64, bool>,
     memo_hits: u64,
 }
 
-impl<'env> EvalCtx<'_, 'env> {
+impl EvalCtx<'_> {
     /// Finds the first passing candidate among `count` ordered candidates.
     ///
     /// `make(i)` materialises candidate `i`, or returns `None` for
     /// candidates that auto-fail (empty, or guard-violating).  Candidates
-    /// are resolved in ordinal order — from the memo where possible,
-    /// otherwise judged in waves of `self.wave` — and the lowest passing
-    /// ordinal wins, so the result is independent of the worker count.
-    /// `evaluated` counts actual judge invocations.
-    fn first_passing(
+    /// are resolved in ordinal order, from the memo where possible, and
+    /// the search stops at the first pass.  `evaluated` counts actual
+    /// judge invocations.
+    fn first_passing<'c>(
         &mut self,
         count: usize,
-        mut make: impl FnMut(usize) -> Option<Candidate<'env>>,
+        mut make: impl FnMut(usize) -> Option<Candidate<'c>>,
         evaluated: &mut u64,
     ) -> Option<usize> {
-        let mut next = 0;
-        while next < count {
-            // Collect the next wave: scan forward, answering memoized
-            // candidates inline, until the wave is full or a memoized pass
-            // bounds the search.
-            let mut wave: Vec<Task<'env>> = Vec::with_capacity(self.wave);
-            let mut memo_pass: Option<usize> = None;
-            while next < count && wave.len() < self.wave {
-                let ordinal = next;
-                next += 1;
-                let Some(candidate) = make(ordinal) else { continue };
-                if let Some(&verdict) = self.memo.get(&candidate.key) {
-                    self.memo_hits += 1;
-                    if verdict {
-                        memo_pass = Some(ordinal);
-                        break;
-                    }
-                    continue;
-                }
-                wave.push(Task { ordinal, candidate });
+        (0..count).find(|&ordinal| {
+            let Some(candidate) = make(ordinal) else { return false };
+            if let Some(&verdict) = self.memo.get(&candidate.key) {
+                self.memo_hits += 1;
+                return verdict;
             }
-            *evaluated += wave.len() as u64;
-            let verdicts = self.judge_wave(wave);
-            let mut wave_pass: Option<usize> = None;
-            for (ordinal, key, verdict) in verdicts {
-                self.memo.insert(key, verdict);
-                if verdict && wave_pass.is_none() {
-                    wave_pass = Some(ordinal);
-                }
-            }
-            // Every judged wave member has a lower ordinal than a
-            // memoized pass that ended the scan, so the wave wins ties.
-            if let Some(found) = wave_pass.or(memo_pass) {
-                return Some(found);
-            }
-        }
-        None
-    }
-
-    /// Judges one wave of candidates, inline or across the pool; returns
-    /// `(ordinal, memo key, verdict)` in ascending ordinal order.
-    fn judge_wave(&self, wave: Vec<Task<'env>>) -> Vec<(usize, u64, bool)> {
-        let inline = |task: &Task<'env>| {
-            let refs = task.candidate.payload.refs();
-            self.judge.still_fails(&refs, &task.candidate.hashes)
-        };
-        match self.pool {
-            Some(pool) if wave.len() > 1 => {
-                let mut keys: Vec<(usize, u64)> =
-                    wave.iter().map(|t| (t.ordinal, t.candidate.key)).collect();
-                keys.sort_unstable();
-                let mut wave = wave.into_iter();
-                let first = wave.next().expect("wave.len() > 1");
-                let mut dispatched = 0;
-                for (task, sender) in wave.zip(pool.senders.iter()) {
-                    sender.send(task).expect("reduction worker hung up");
-                    dispatched += 1;
-                }
-                let mut verdicts: HashMap<usize, bool> = HashMap::with_capacity(dispatched + 1);
-                verdicts.insert(first.ordinal, inline(&first));
-                for _ in 0..dispatched {
-                    let (ordinal, verdict) = pool.results.recv().expect("reduction worker hung up");
-                    verdicts.insert(ordinal, verdict);
-                }
-                keys.into_iter().map(|(ordinal, key)| (ordinal, key, verdicts[&ordinal])).collect()
-            }
-            _ => wave.iter().map(|task| (task.ordinal, task.candidate.key, inline(task))).collect(),
-        }
+            *evaluated += 1;
+            let verdict = self.judge.still_fails(&candidate.stmts, &candidate.hashes);
+            self.memo.insert(candidate.key, verdict);
+            verdict
+        })
     }
 }
 
 /// Builds the candidate keeping `keep` (ascending indices into
 /// `statements`); `None` when empty or guard-violating.
-fn candidate_subset<'env>(
-    statements: &'env [Statement],
+fn candidate_subset<'a>(
+    statements: &'a [Statement],
     hashes: &[u64],
     keep: &[usize],
-) -> Option<Candidate<'env>> {
+) -> Option<Candidate<'a>> {
     if keep.is_empty() {
         return None;
     }
-    let refs: Vec<&'env Statement> = keep.iter().map(|&i| &statements[i]).collect();
-    if !transactions_well_formed(refs.iter().copied()) {
+    let stmts: Vec<&Statement> = keep.iter().map(|&i| &statements[i]).collect();
+    if !transactions_well_formed(stmts.iter().copied()) {
         return None;
     }
     let hashes: Vec<u64> = keep.iter().map(|&i| hashes[i]).collect();
     let key = hashes.iter().fold(MEMO_SEED, |k, h| combine(k, *h));
-    Some(Candidate { key, payload: Payload::Borrowed(refs), hashes })
+    Some(Candidate { key, stmts, hashes })
 }
 
 /// Builds the candidate replacing `work[at]` with `replacement` (an
 /// expression-pass rewrite).  Shrinks never touch transaction-control
 /// statements, so the guard holds by construction; the re-check keeps
 /// the invariant explicit.
-fn candidate_replace<'env>(
-    work: &[Statement],
+fn candidate_replace<'a>(
+    work: &'a [Statement],
     hashes: &[u64],
     at: usize,
-    replacement: &Statement,
-) -> Option<Candidate<'env>> {
-    let mut stmts = work.to_vec();
-    stmts[at] = replacement.clone();
-    if !transactions_well_formed(&stmts) {
+    replacement: &'a Statement,
+) -> Option<Candidate<'a>> {
+    let mut stmts: Vec<&Statement> = work.iter().collect();
+    stmts[at] = replacement;
+    if !transactions_well_formed(stmts.iter().copied()) {
         return None;
     }
     let mut hashes = hashes.to_vec();
     hashes[at] = statement_hash(replacement);
     let key = hashes.iter().fold(MEMO_SEED, |k, h| combine(k, *h));
-    Some(Candidate { key, payload: Payload::Owned(stmts), hashes })
+    Some(Candidate { key, stmts, hashes })
 }
 
 /// Structural units of the current keep-set, coarsest first: whole
@@ -584,13 +434,11 @@ fn structural_units(statements: &[Statement], kept: &[usize]) -> Vec<Vec<usize>>
     units
 }
 
-/// The pipeline body; `pool` is `Some` iff `workers > 1`.
-fn run_reduction<'env>(
-    statements: &'env [Statement],
+/// The pipeline body of [`reduce_hierarchical`].
+fn run_reduction(
+    statements: &[Statement],
     options: &ReduceOptions,
     judge: &dyn CandidateJudge,
-    pool: Option<&WavePool<'env>>,
-    workers: usize,
 ) -> Reduction {
     let mut stats = ReductionStats {
         statements_before: statements.len() as u64,
@@ -598,7 +446,7 @@ fn run_reduction<'env>(
         ..ReductionStats::default()
     };
     let hashes: Vec<u64> = statements.iter().map(statement_hash).collect();
-    let mut ctx = EvalCtx { judge, pool, wave: workers, memo: HashMap::new(), memo_hits: 0 };
+    let mut ctx = EvalCtx { judge, memo: HashMap::new(), memo_hits: 0 };
     let mut kept: Vec<usize> = (0..statements.len()).collect();
 
     // The input must fail (and be well-formed); otherwise hand it back
@@ -660,8 +508,8 @@ fn run_reduction<'env>(
     stats.statements_after_sessions = kept.len() as u64;
 
     // Phase 2: statement-level ddmin — greedy chunk deletion with halving
-    // chunk sizes, one generation (all drop positions for the current
-    // chunk size from the cursor on) judged per wave round.
+    // chunk sizes; each search scans the drop positions for the current
+    // chunk size from the cursor on.
     if options.statement_pass {
         let mut chunk = (kept.len() / 2).max(1);
         loop {
@@ -996,33 +844,5 @@ mod tests {
         assert_eq!(select, "SELECT t0.c1 FROM t0 WHERE (t0.c0 = 1)");
         assert!(reduced.stats.expr_nodes_after < reduced.stats.expr_nodes_after_statements);
         assert!(reduced.stats.expression_candidates > 0);
-    }
-
-    #[test]
-    fn parallel_reduction_is_bit_identical_to_sequential() {
-        let stmts = parse_script(
-            "CREATE TABLE t0(c0, c1);
-             CREATE TABLE t1(c0);
-             INSERT INTO t0(c0, c1) VALUES (1, 2);
-             INSERT INTO t1(c0) VALUES (3);
-             ANALYZE;
-             SELECT t0.c0, t0.c1 FROM t0 WHERE t0.c0 = 1 AND t0.c1 = 2;",
-        )
-        .unwrap();
-        let judge = FnJudge(|candidate: &[&Statement]| {
-            let sql: Vec<String> = candidate.iter().map(ToString::to_string).collect();
-            sql.iter().any(|s| s.starts_with("CREATE TABLE t0"))
-                && sql.iter().any(|s| s.starts_with("SELECT") && s.contains("t0.c0 = 1"))
-        });
-        let sequential = reduce_hierarchical(&stmts, &ReduceOptions::default(), &judge);
-        for workers in [2, 3, 8] {
-            let options = ReduceOptions { workers, ..ReduceOptions::default() };
-            let parallel = reduce_hierarchical(&stmts, &options, &judge);
-            assert_eq!(
-                parallel.statements.iter().map(ToString::to_string).collect::<Vec<_>>(),
-                sequential.statements.iter().map(ToString::to_string).collect::<Vec<_>>(),
-                "workers={workers}"
-            );
-        }
     }
 }

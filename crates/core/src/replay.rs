@@ -29,9 +29,9 @@
 //! changes how much work a verdict costs — `tests/determinism.rs` and the
 //! pinned snapshots in `tests/qpg.rs` hold across it unchanged.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
-use std::sync::{Arc, Mutex};
 
 use lancer_engine::{BugProfile, Dialect, Engine};
 use lancer_sql::ast::stmt::Statement;
@@ -47,12 +47,9 @@ use crate::reduce::CandidateJudge;
 #[derive(Debug)]
 pub struct ReplayCache {
     dialect: Dialect,
-    /// Snapshots are held behind [`Arc`] so the locked `prepare` step
-    /// hands out a reference-count bump; the resume's engine clone —
-    /// itself copy-on-write pointer work — happens in the lock-free
-    /// execute step, so parallel reduction workers share one snapshot's
-    /// tables structurally without serializing on the cache mutex.
-    snapshots: HashMap<u64, Arc<Engine>>,
+    /// Boxed so a full map stays small; a resume clones the engine out,
+    /// which is copy-on-write pointer work.
+    snapshots: HashMap<u64, Box<Engine>>,
     /// Prefixes walked once already.  A snapshot is cheap to take (CoW)
     /// but holding one pins the prefix's tables, keeping later mutations
     /// on the unshare path — so one is only taken when a prefix *recurs*:
@@ -91,7 +88,8 @@ pub struct ReplayCacheStats {
     pub statements_skipped: u64,
     /// Prefix snapshots retained in the cache.
     pub snapshots_taken: u64,
-    /// Prefix snapshots dropped because the cache was at capacity.
+    /// Prefix snapshots refused because the cache was full.  Nothing is
+    /// ever evicted: a full cache keeps the snapshots it has.
     pub snapshots_evicted: u64,
 }
 
@@ -162,7 +160,8 @@ impl ReplayCache {
 
     /// The shared replay core: `stmts[..len-1]` is the setup (replayed
     /// through the snapshot cache), the last statement is the trigger
-    /// checked against the repro spec.
+    /// checked against the repro spec.  `hashes` holds the
+    /// [`statement_hash`] of each statement in `stmts`, in order.
     pub(crate) fn reproduces_refs(
         &mut self,
         oracle: &str,
@@ -171,241 +170,83 @@ impl ReplayCache {
         hashes: &[u64],
         repro: &ReproSpec,
     ) -> bool {
-        if stmts.is_empty() {
+        let Some((&last, setup)) = stmts.split_last() else {
             return false;
-        }
-        // The sequential path runs the same three steps the shared
-        // (mutexed) path runs, back to back — one code path, so the two
-        // can never diverge in verdicts or counters.
-        match self.prepare(oracle, profile, hashes, repro) {
-            ReplayLookup::Verdict(verdict) => verdict,
-            ReplayLookup::Run(prepared) => {
-                let outcome = execute_prepared(*prepared, stmts, repro);
-                self.commit(outcome)
-            }
-        }
-    }
-
-    /// The locked front half of a replay: answers from the verdict memo
-    /// when possible, otherwise resolves the deepest cached prefix
-    /// snapshot and records which upcoming prefixes already recurred (and
-    /// therefore deserve a snapshot).  Mutates only counters and reads the
-    /// cache, so it is cheap enough to hold a lock across.
-    fn prepare(
-        &mut self,
-        oracle: &str,
-        profile: &BugProfile,
-        hashes: &[u64],
-        repro: &ReproSpec,
-    ) -> ReplayLookup {
+        };
         let sequence_key =
             hashes.iter().fold(profile_key(self.dialect, profile), |key, h| combine(key, *h));
         let verdict_key = combine(combine(sequence_key, fnv1a_str(oracle)), repro_hash(repro));
         if let Some(&verdict) = self.verdicts.get(&verdict_key) {
             self.stats.verdict_hits += 1;
-            return ReplayLookup::Verdict(verdict);
+            return verdict;
         }
-        let setup_len = hashes.len() - 1;
         // keys[i] identifies (profile, setup[..i]).
-        let mut keys = Vec::with_capacity(setup_len + 1);
+        let mut keys = Vec::with_capacity(setup.len() + 1);
         let mut key = profile_key(self.dialect, profile);
         keys.push(key);
-        for h in &hashes[..setup_len] {
+        for h in &hashes[..setup.len()] {
             key = combine(key, *h);
             keys.push(key);
         }
-        let mut start = 0;
-        let mut snapshot: Option<Arc<Engine>> = None;
-        for i in (1..=setup_len).rev() {
-            if let Some(hit) = self.snapshots.get(&keys[i]) {
-                snapshot = Some(Arc::clone(hit));
-                start = i;
-                break;
-            }
-        }
+        let start =
+            (1..=setup.len()).rev().find(|&i| self.snapshots.contains_key(&keys[i])).unwrap_or(0);
         if start > 0 {
             self.stats.prefix_hits += 1;
         } else {
             self.stats.prefix_misses += 1;
         }
         self.stats.statements_skipped += start as u64;
-        // Only the Arc bump happens under the lock; the resume's CoW
-        // engine clone (or fresh construction) is deferred to the
-        // lock-free execute step.
-        let resume = match snapshot {
-            Some(engine) => ResumePoint::Snapshot(engine),
-            None => ResumePoint::Fresh(self.dialect, Box::new(profile.clone())),
+        // Fast path: when the cached snapshot already covers the whole setup,
+        // a read-only trigger can be judged straight off the snapshot — no
+        // engine clone, no per-candidate state at all.  This is the
+        // expression-pass hot path: successive candidates share one
+        // snapshot and differ only in their trigger.
+        if start > 0 && start == setup.len() {
+            let snapshot = &self.snapshots[&keys[start]];
+            if let Some(verdict) = confirms_readonly(snapshot, setup, last, repro) {
+                return self.remember(verdict_key, verdict);
+            }
+        }
+        let mut engine = match start {
+            0 => Engine::with_bugs(self.dialect, profile.clone()),
+            _ => Engine::clone(&self.snapshots[&keys[start]]),
         };
-        let recurring = (start..setup_len).map(|i| self.seen.contains(&keys[i + 1])).collect();
-        ReplayLookup::Run(Box::new(PreparedReplay { verdict_key, keys, start, resume, recurring }))
-    }
-
-    /// The locked back half of a replay: folds an executed candidate's
-    /// snapshots, seen-marks and verdict back into the cache, and returns
-    /// the verdict.  Insertions honour the same capacity bounds the
-    /// all-in-one walk enforced, in the same order.
-    fn commit(&mut self, outcome: ReplayOutcome) -> bool {
-        self.stats.statements_replayed += outcome.executed;
-        for (key, engine) in outcome.snapshots {
+        let mut taken = Vec::new();
+        for i in start..setup.len() {
+            // Setup statements may legitimately fail after reduction removed
+            // their prerequisites; keep going, mirroring SQLancer's reducer.
+            let _ = engine.execute(setup[i]);
+            let key = keys[i + 1];
+            // A snapshot is only taken when a prefix *recurs* — cold
+            // prefixes are merely marked seen (see the `seen` field).
+            if self.seen.contains(&key) {
+                taken.push((key, Box::new(engine.clone())));
+            } else if self.seen.len() < self.max_snapshots * 16 {
+                self.seen.insert(key);
+            }
+        }
+        self.stats.statements_replayed += (setup.len() - start) as u64;
+        let verdict = confirms(&mut engine, setup, last, repro);
+        // Snapshots are stored once the verdict is in; when the cache is
+        // full the rest are refused (and dropped here).
+        for (key, snapshot) in taken {
             if self.snapshots.len() < self.max_snapshots {
                 self.stats.snapshots_taken += 1;
-                self.snapshots.insert(key, engine);
+                self.snapshots.insert(key, snapshot);
             } else {
                 self.stats.snapshots_evicted += 1;
             }
         }
-        for key in outcome.newly_seen {
-            if self.seen.len() < self.max_snapshots * 16 {
-                self.seen.insert(key);
-            }
-        }
+        self.remember(verdict_key, verdict)
+    }
+
+    /// Records a verdict in the memo (while it is under its bound) and
+    /// returns it.
+    fn remember(&mut self, verdict_key: u64, verdict: bool) -> bool {
         if self.verdicts.len() < self.max_snapshots * 16 {
-            self.verdicts.insert(outcome.verdict_key, outcome.verdict);
+            self.verdicts.insert(verdict_key, verdict);
         }
-        outcome.verdict
-    }
-}
-
-/// What [`ReplayCache::prepare`] resolved: either a memoized verdict or
-/// everything the lock-free execution step needs.
-enum ReplayLookup {
-    Verdict(bool),
-    Run(Box<PreparedReplay>),
-}
-
-/// A replay ready to execute without touching the cache: the resume
-/// point, the prefix keys of the candidate, and which positions already
-/// recurred (so execution knows where to take snapshots).
-struct PreparedReplay {
-    verdict_key: u64,
-    keys: Vec<u64>,
-    start: usize,
-    resume: ResumePoint,
-    recurring: Vec<bool>,
-}
-
-/// Where a prepared replay starts from: a shared snapshot (CoW-cloned
-/// lock-free at execute time) or a fresh engine with the question's
-/// fault profile.
-enum ResumePoint {
-    Snapshot(Arc<Engine>),
-    Fresh(Dialect, Box<BugProfile>),
-}
-
-/// Everything a finished replay wants to write back under the lock.
-struct ReplayOutcome {
-    verdict: bool,
-    verdict_key: u64,
-    executed: u64,
-    snapshots: Vec<(u64, Arc<Engine>)>,
-    newly_seen: Vec<u64>,
-}
-
-/// The lock-free middle of a replay: executes the setup suffix from the
-/// prepared resume point, collects the snapshots the prepare step asked
-/// for, and judges the trigger.  Touches no shared state, so parallel
-/// reduction workers run it outside the cache mutex.
-fn execute_prepared(
-    prepared: PreparedReplay,
-    stmts: &[&Statement],
-    repro: &ReproSpec,
-) -> ReplayOutcome {
-    let PreparedReplay { verdict_key, keys, start, resume, recurring } = prepared;
-    let setup = &stmts[..stmts.len() - 1];
-    // Fast path: when the cached snapshot already covers the whole setup,
-    // a read-only trigger can be judged straight off the shared
-    // `Arc<Engine>` — no engine clone, no per-candidate state at all.
-    // This is the expression-pass hot path: every candidate in a wave
-    // shares one snapshot and differs only in its trigger.
-    if start == setup.len() {
-        if let ResumePoint::Snapshot(snapshot) = &resume {
-            if let Some(verdict) = confirms_readonly(snapshot, setup, stmts[stmts.len() - 1], repro)
-            {
-                return ReplayOutcome {
-                    verdict,
-                    verdict_key,
-                    executed: 0,
-                    snapshots: Vec::new(),
-                    newly_seen: Vec::new(),
-                };
-            }
-        }
-    }
-    let mut engine = match resume {
-        ResumePoint::Snapshot(snapshot) => (*snapshot).clone(),
-        ResumePoint::Fresh(dialect, profile) => Engine::with_bugs(dialect, *profile),
-    };
-    let mut snapshots = Vec::new();
-    let mut newly_seen = Vec::new();
-    for i in start..setup.len() {
-        // Setup statements may legitimately fail after reduction removed
-        // their prerequisites; keep going, mirroring SQLancer's reducer.
-        let _ = engine.execute(setup[i]);
-        let key = keys[i + 1];
-        // A snapshot is only taken when a prefix *recurs* — cold
-        // prefixes are merely marked seen (see the `seen` field).
-        if recurring[i - start] {
-            snapshots.push((key, Arc::new(engine.clone())));
-        } else {
-            newly_seen.push(key);
-        }
-    }
-    let executed = (setup.len() - start) as u64;
-    let verdict = confirms(&mut engine, setup, stmts[stmts.len() - 1], repro);
-    ReplayOutcome { verdict, verdict_key, executed, snapshots, newly_seen }
-}
-
-/// A [`ReplayCache`] behind a mutex, for the hierarchical reducer's
-/// worker pool.  Only the prepare and commit halves of a replay hold the
-/// lock; statement execution — the expensive part — runs lock-free, so
-/// workers evaluating one generation's candidates genuinely overlap.
-///
-/// Verdicts stay deterministic under any interleaving (a replay verdict
-/// is a pure function of profile, statements and repro spec; the cache
-/// only changes its cost).  The *work counters* are the one thing that
-/// can wobble with more than one worker: whether candidate B resumes
-/// from a snapshot candidate A inserted depends on commit order, so
-/// `prefix_hits`/`statements_replayed` are deterministic only at one
-/// worker.  Nothing output-facing reads them.
-#[derive(Debug)]
-pub struct SharedReplay<'a> {
-    inner: Mutex<&'a mut ReplayCache>,
-}
-
-impl<'a> SharedReplay<'a> {
-    /// Wraps a cache for shared use by reduction workers.
-    #[must_use]
-    pub fn new(cache: &'a mut ReplayCache) -> SharedReplay<'a> {
-        SharedReplay { inner: Mutex::new(cache) }
-    }
-
-    /// The cached repro check, callable through `&self` from any worker.
-    /// `hashes` must be the FNV statement hash of each statement in
-    /// `stmts`, in order (the hashes a [`ReplaySession`] computes).
-    #[must_use]
-    pub fn reproduces_refs(
-        &self,
-        oracle: &str,
-        profile: &BugProfile,
-        stmts: &[&Statement],
-        hashes: &[u64],
-        repro: &ReproSpec,
-    ) -> bool {
-        if stmts.is_empty() {
-            return false;
-        }
-        let lookup = {
-            let mut cache = self.inner.lock().expect("replay cache lock poisoned");
-            cache.prepare(oracle, profile, hashes, repro)
-        };
-        match lookup {
-            ReplayLookup::Verdict(verdict) => verdict,
-            ReplayLookup::Run(prepared) => {
-                let outcome = execute_prepared(*prepared, stmts, repro);
-                let mut cache = self.inner.lock().expect("replay cache lock poisoned");
-                cache.commit(outcome)
-            }
-        }
+        verdict
     }
 }
 
@@ -418,7 +259,7 @@ impl<'a> SharedReplay<'a> {
 /// and is rejected.
 #[derive(Debug)]
 pub struct DifferentialJudge<'a> {
-    replay: SharedReplay<'a>,
+    cache: RefCell<&'a mut ReplayCache>,
     oracle: &'a str,
     profile: &'a BugProfile,
     none: BugProfile,
@@ -437,7 +278,7 @@ impl<'a> DifferentialJudge<'a> {
         repro: &'a ReproSpec,
     ) -> DifferentialJudge<'a> {
         DifferentialJudge {
-            replay: SharedReplay::new(cache),
+            cache: RefCell::new(cache),
             oracle,
             profile,
             none: BugProfile::none(),
@@ -459,12 +300,13 @@ impl<'a> DifferentialJudge<'a> {
 
 impl CandidateJudge for DifferentialJudge<'_> {
     fn still_fails(&self, stmts: &[&Statement], hashes: &[u64]) -> bool {
-        self.replay.reproduces_refs(self.oracle, self.profile, stmts, hashes, self.repro)
-            && !self.replay.reproduces_refs(self.oracle, &self.none, stmts, hashes, self.repro)
+        let mut cache = self.cache.borrow_mut();
+        cache.reproduces_refs(self.oracle, self.profile, stmts, hashes, self.repro)
+            && !cache.reproduces_refs(self.oracle, &self.none, stmts, hashes, self.repro)
             && self
                 .required
                 .iter()
-                .all(|p| self.replay.reproduces_refs(self.oracle, p, stmts, hashes, self.repro))
+                .all(|p| cache.reproduces_refs(self.oracle, p, stmts, hashes, self.repro))
     }
 }
 
@@ -526,8 +368,7 @@ impl<'a> ReplaySession<'a> {
     #[must_use]
     pub fn reproduces_all(&mut self, profile: &BugProfile, repro: &ReproSpec) -> bool {
         let stmts: Vec<&Statement> = self.statements.iter().collect();
-        let hashes = self.hashes.clone();
-        self.cache.reproduces_refs(self.oracle, profile, &stmts, &hashes, repro)
+        self.cache.reproduces_refs(self.oracle, profile, &stmts, &self.hashes, repro)
     }
 }
 

@@ -150,7 +150,7 @@ pub struct CampaignBuilder {
     plan_observation: bool,
     qpg: QpgConfig,
     multi_session: bool,
-    reduction: Option<ReduceOptions>,
+    reduction: ReduceOptions,
 }
 
 impl CampaignBuilder {
@@ -169,7 +169,7 @@ impl CampaignBuilder {
             plan_observation: false,
             qpg: QpgConfig::default(),
             multi_session: false,
-            reduction: None,
+            reduction: ReduceOptions::default(),
         }
     }
 
@@ -281,16 +281,12 @@ impl CampaignBuilder {
         self
     }
 
-    /// Overrides the hierarchical reducer's configuration (phases and
-    /// worker count).  By default every phase runs and the candidate-
-    /// evaluation worker count follows [`threads`](CampaignBuilder::threads);
-    /// the reduced repros are bit-identical at any worker count, so this
-    /// knob only trades wall-clock for cores — or, with
-    /// [`ReduceOptions::statement_only`], recovers the PR-4-era
-    /// statement-level reducer for before/after comparisons.
+    /// Overrides which phases the hierarchical reducer runs.  By default
+    /// every phase runs; [`ReduceOptions::statement_only`] recovers the
+    /// PR-4-era statement-level reducer for before/after comparisons.
     #[must_use]
     pub fn reduction(mut self, options: ReduceOptions) -> Self {
-        self.reduction = Some(options);
+        self.reduction = options;
         self
     }
 
@@ -435,7 +431,7 @@ pub struct Campaign {
     plan_observation: bool,
     qpg: QpgConfig,
     multi_session: bool,
-    reduction: Option<ReduceOptions>,
+    reduction: ReduceOptions,
 }
 
 impl fmt::Debug for Campaign {
@@ -573,18 +569,6 @@ impl Campaign {
         let mut found: Vec<FoundBug> = Vec::new();
         let mut seen: BTreeMap<&'static str, BTreeSet<BugId>> = BTreeMap::new();
         let none = BugProfile::none();
-        // The hierarchical reducer's candidate-evaluation workers follow
-        // the campaign's thread count unless configured explicitly, but
-        // never exceed the hardware parallelism: wave evaluation overlaps
-        // candidate replays only when cores are actually available, and
-        // on a single-core host a pool is pure synchronization overhead.
-        // The reduced repros are bit-identical at any worker count, so
-        // this default only affects wall-clock, never output.
-        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let reduce_options = self.reduction.clone().unwrap_or(ReduceOptions {
-            workers: threads.min(hardware),
-            ..ReduceOptions::default()
-        });
         let mut reduction_totals = ReductionStats::default();
         for detection in raw {
             let mut session =
@@ -618,7 +602,7 @@ impl Campaign {
                     &profile,
                     &detection.repro,
                 );
-                let options = ReduceOptions { expression_pass: false, ..reduce_options.clone() };
+                let options = ReduceOptions { expression_pass: false, ..self.reduction.clone() };
                 reduce_hierarchical(&detection.statements, &options, &judge)
             };
             let mut detection_stats = statement_stage.stats;
@@ -648,7 +632,7 @@ impl Campaign {
             // with every attributed single-fault profile pinned into the
             // judge, so the final repro still witnesses each reported bug
             // on its own.
-            let reduced = if reduce_options.expression_pass {
+            let reduced = if self.reduction.expression_pass {
                 let expr_stage = {
                     let mut judge = DifferentialJudge::new(
                         &mut cache,
@@ -662,8 +646,7 @@ impl Campaign {
                     let options = ReduceOptions {
                         session_pass: false,
                         statement_pass: false,
-                        expression_pass: true,
-                        workers: reduce_options.workers,
+                        ..ReduceOptions::default()
                     };
                     reduce_hierarchical(&statement_reduced, &options, &judge)
                 };
@@ -946,12 +929,12 @@ pub struct CampaignStats {
     pub replay_prefix_hits: u64,
     /// Prefix snapshots the replay cache retained.
     pub replay_snapshots_taken: u64,
-    /// Prefix snapshots dropped because the replay cache was at capacity.
+    /// Prefix snapshots the replay cache refused because it was full.
+    /// Nothing is evicted: a full cache keeps the snapshots it has.
     pub replay_snapshot_evictions: u64,
     /// Shared tables deep-copied on first write — the copy-on-write
     /// storage's unshare count across generation, oracle checks and
-    /// post-processing replays (worker threads and the runner's thread;
-    /// reduction pool threads keep their own counts).
+    /// post-processing replays (worker threads and the runner's thread).
     pub cow_table_copies: u64,
     /// Shared row blocks deep-copied on first row write (the O(rows) cost
     /// a snapshot defers until a statement actually writes the table).

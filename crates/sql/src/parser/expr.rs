@@ -233,7 +233,7 @@ impl Parser {
         Ok(e)
     }
 
-    fn parse_primary(&mut self) -> ParseResult<Expr> {
+    pub(crate) fn parse_primary(&mut self) -> ParseResult<Expr> {
         let tok = self
             .peek()
             .cloned()

@@ -309,7 +309,7 @@ impl Parser {
                     .ok_or_else(|| ParseError::new(format!("unknown collation {n}")))?;
                 constraints.push(ColumnConstraint::Collate(c));
             } else if self.eat_keyword("DEFAULT") {
-                let v = self.parse_literal_value()?;
+                let v = self.parse_default_value()?;
                 constraints.push(ColumnConstraint::Default(v));
             } else if self.peek_keyword("CHECK") {
                 self.advance();
@@ -324,11 +324,17 @@ impl Parser {
         Ok(ColumnDef { name, type_name, constraints })
     }
 
-    fn parse_literal_value(&mut self) -> ParseResult<Value> {
-        let e = self.parse_expr()?;
-        match e {
-            Expr::Literal(v) => Ok(v),
-            other => Err(ParseError::new(format!("expected literal, found {other}"))),
+    /// Parses a column's `DEFAULT` value: one literal, optionally negated
+    /// or parenthesised.  The value ends with the literal, so a following
+    /// `COLLATE` stays a column constraint rather than collating the
+    /// default.
+    fn parse_default_value(&mut self) -> ParseResult<Value> {
+        let negate = self.eat(&Token::Minus);
+        match (negate, self.parse_primary()?) {
+            (false, Expr::Literal(v)) => Ok(v),
+            (true, Expr::Literal(Value::Integer(i))) if i != i64::MIN => Ok(Value::Integer(-i)),
+            (true, Expr::Literal(Value::Real(r))) => Ok(Value::Real(-r)),
+            (_, other) => Err(ParseError::new(format!("expected literal, found {other}"))),
         }
     }
 
@@ -839,6 +845,7 @@ mod tests {
             "SELECT '' - 2851427734582196970",
             "DELETE FROM t0 WHERE (c0 > 3)",
             "EXPLAIN SELECT * FROM t0 WHERE (c0 = 1)",
+            "CREATE TABLE t0(c0 TEXT NOT NULL DEFAULT 0 COLLATE NOCASE, c1 INT DEFAULT -3)",
         ];
         for s in scripts {
             let stmt = parse_statement(s).unwrap();

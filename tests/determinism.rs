@@ -11,10 +11,11 @@
 use lancer_core::{Campaign, CampaignBuilder, CampaignReport, ReduceOptions};
 use lancer_engine::Dialect;
 
-/// The findings-facing part of a report: detection stats, bugs, reduced
-/// SQL, and the reduction *size* outcomes — everything the wave-parallel
-/// reducer guarantees bit-identical at any worker count.
-fn findings_fingerprint(report: &CampaignReport) -> String {
+/// Everything observable about a report except wall-clock time: detection
+/// stats, bugs, reduced SQL, the reduction size outcomes and work
+/// counters, and the replay, copy-on-write and rewind counters of the
+/// post-campaign pipeline.
+fn fingerprint(report: &CampaignReport) -> String {
     let mut out = String::new();
     let s = &report.stats;
     out.push_str(&format!(
@@ -41,6 +42,27 @@ fn findings_fingerprint(report: &CampaignReport) -> String {
         s.reduction_expr_nodes_after_statements,
         s.reduction_expr_nodes_after,
     ));
+    out.push_str(&format!(
+        "reduction work candidates={} memo={} session={} statement={} expression={}\n",
+        s.reduction_candidates_evaluated,
+        s.reduction_memo_hits,
+        s.reduction_session_candidates,
+        s.reduction_statement_candidates,
+        s.reduction_expression_candidates,
+    ));
+    out.push_str(&format!(
+        "replay executed={} skipped={} prefix_hits={} verdict_hits={} snapshots={} refused={} \
+         cow tables={} row_blocks={} rewinds={}\n",
+        s.replay_statements_executed,
+        s.replay_statements_skipped,
+        s.replay_prefix_hits,
+        s.replay_verdict_hits,
+        s.replay_snapshots_taken,
+        s.replay_snapshot_evictions,
+        s.cow_table_copies,
+        s.cow_row_block_copies,
+        s.workspace_rewinds,
+    ));
     for bug in &report.found {
         out.push_str(&format!(
             "bug id={:?} kind={:?} oracle={} status={:?} msg={} kinds={:?}\n",
@@ -51,25 +73,6 @@ fn findings_fingerprint(report: &CampaignReport) -> String {
             out.push('\n');
         }
     }
-    out
-}
-
-/// Everything observable about a report except wall-clock time.  On top
-/// of the findings this pins the reduction *work* counters, which are
-/// deterministic at a fixed worker count (the wave scheduler evaluates
-/// ordinal-ordered candidate sets) but legitimately grow with it (a wave
-/// keeps evaluating past the first passing candidate).
-fn fingerprint(report: &CampaignReport) -> String {
-    let s = &report.stats;
-    let mut out = findings_fingerprint(report);
-    out.push_str(&format!(
-        "reduction work candidates={} memo={} session={} statement={} expression={}\n",
-        s.reduction_candidates_evaluated,
-        s.reduction_memo_hits,
-        s.reduction_session_candidates,
-        s.reduction_statement_candidates,
-        s.reduction_expression_candidates,
-    ));
     out
 }
 
@@ -179,9 +182,10 @@ fn paper_binary_configs_are_run_to_run_identical() {
     // The Table 2 / Table 3 acceptance invariant at test scale: the two
     // configurations the paper binaries are checked at — the default
     // seed, and `--threads 2 --seed 7` — must reproduce themselves
-    // bit-for-bit on a rerun, reduced SQL and reduction counters
-    // included.  (The binaries print nothing but report-derived data, so
-    // this pins their stdout stability without shelling out.)
+    // bit-for-bit on a rerun, reduced SQL and the reduction, replay and
+    // copy-on-write counters included.  (The binaries print nothing but
+    // report-derived data, so this pins their stdout stability without
+    // shelling out.)
     for (threads, seed) in [(1usize, 0x5EEDu64), (2, 7)] {
         let first = quick(Dialect::Sqlite).threads(threads).seed(seed).run();
         let second = quick(Dialect::Sqlite).threads(threads).seed(seed).run();
@@ -226,27 +230,4 @@ fn hierarchical_reduction_never_perturbs_findings() {
         "expression pass shrank nothing: {:?}",
         hierarchical.stats
     );
-}
-
-#[test]
-fn parallel_reduction_workers_do_not_change_the_report() {
-    // The wave scheduler's determinism contract, pinned at the runner
-    // level: explicit reducer worker counts change only work counters
-    // and wall-clock — the findings, their reduced SQL, and the
-    // reduction size outcomes are bit-identical, because a wave selects
-    // its lowest-ordinal passing candidate exactly as the sequential
-    // loop would.
-    let sequential = quick(Dialect::Sqlite)
-        .reduction(ReduceOptions { workers: 1, ..ReduceOptions::default() })
-        .run();
-    for workers in [2usize, 4] {
-        let parallel = quick(Dialect::Sqlite)
-            .reduction(ReduceOptions { workers, ..ReduceOptions::default() })
-            .run();
-        assert_eq!(
-            findings_fingerprint(&sequential),
-            findings_fingerprint(&parallel),
-            "workers={workers}: parallel reduction must be bit-identical to sequential"
-        );
-    }
 }

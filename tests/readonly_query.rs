@@ -102,9 +102,9 @@ proptest! {
     }
 }
 
-/// Wave judging: many threads evaluating candidates against one shared
-/// `Arc<Engine>` snapshot must each see exactly what a sequential judge
-/// sees, and the shared sink must end up with the union of their
+/// Concurrent judging: many threads evaluating candidates against one
+/// shared `Arc<Engine>` snapshot must each see exactly what a sequential
+/// judge sees, and the shared sink must end up with the union of their
 /// coverage.
 #[test]
 fn shared_snapshot_wave_judging_is_deterministic() {

@@ -12,8 +12,7 @@
 //!     the fault profile, passes fault-free),
 //! (b) the reduced script keeps transactions well-formed,
 //! (c) the hierarchical output is never larger than the statement-only
-//!     reducer's output, in statements or in expression nodes,
-//! (d) parallel candidate evaluation is bit-identical to sequential.
+//!     reducer's output, in statements or in expression nodes.
 //!
 //! A mutation check closes the loop: hand-injecting the classic reducer
 //! bug — applying an expression shrink *without* re-verifying — must be
@@ -160,27 +159,6 @@ proptest! {
             total_expr_nodes(&hier) <= total_expr_nodes(&stmt_only),
             "{hier:?} vs {stmt_only:?}"
         );
-    }
-
-    /// (d) Parallel candidate evaluation returns bit-identical repros.
-    #[test]
-    fn parallel_reduction_is_bit_identical(seed in any::<u64>(), dialect_idx in 0usize..4) {
-        let dialect = Dialect::ALL[dialect_idx];
-        let Some((statements, profile, repro)) = synthesize_detection(seed, dialect) else {
-            return Ok(());
-        };
-        let sequential =
-            reduce_detection(&statements, &profile, &repro, dialect, &ReduceOptions::default());
-        for workers in [2, 8] {
-            let options = ReduceOptions { workers, ..ReduceOptions::default() };
-            let parallel = reduce_detection(&statements, &profile, &repro, dialect, &options);
-            prop_assert_eq!(
-                parallel.iter().map(ToString::to_string).collect::<Vec<_>>(),
-                sequential.iter().map(ToString::to_string).collect::<Vec<_>>(),
-                "workers={}",
-                workers
-            );
-        }
     }
 }
 
