@@ -488,14 +488,17 @@ impl Campaign {
         // counter stats instead of doubled ones.
         let counter_baseline: Vec<Vec<(&'static str, u64)>> =
             self.oracles.iter().map(|o| o.counters()).collect();
-        let per_thread = self.databases.div_ceil(threads);
         let results: Vec<(Vec<Detection>, CampaignStats, lancer_engine::Coverage, PlanCoverage)> =
             std::thread::scope(|scope| {
                 let mut handles = Vec::new();
                 for t in 0..threads {
                     let profile = profile.clone();
+                    // The first `databases % threads` workers take one
+                    // extra database, so the split sums to `databases`.
+                    let databases =
+                        self.databases / threads + usize::from(t < self.databases % threads);
                     handles
-                        .push(scope.spawn(move || self.run_worker(&profile, t as u64, per_thread)));
+                        .push(scope.spawn(move || self.run_worker(&profile, t as u64, databases)));
                 }
                 handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
             });
@@ -1334,6 +1337,23 @@ mod tests {
             s.replay_verdict_hits > 0,
             "repeated delta-debugging candidates must hit the verdict memo",
         );
+    }
+
+    #[test]
+    fn worker_split_runs_exactly_the_requested_databases() {
+        for (databases, threads) in [(7, 2), (3, 4), (1, 4)] {
+            let report = quick_campaign(Dialect::Sqlite)
+                .bugs(BugProfile::none())
+                .databases(databases)
+                .queries(5)
+                .threads(threads)
+                .run();
+            assert_eq!(
+                report.stats.queries_checked,
+                databases as u64 * 5,
+                "databases({databases}).threads({threads})"
+            );
+        }
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!
 //! A fourth profile extends the population beyond the paper:
 //!
-//! * **DuckDB-like** — a columnar, strictly typed analytical engine: no
-//!   collations, no type affinity, boolean predicates required, and a
-//!   column-at-a-time executor ([`Dialect::prefers_columnar`]).
+//! * **DuckDB-like** — a strictly typed analytical engine: no collations,
+//!   no type affinity, boolean predicates required, and lane-width
+//!   faults in its filter and SUM paths.
 
 use lancer_sql::ast::expr::TypeName;
 use serde::{Deserialize, Serialize};
@@ -33,7 +33,7 @@ pub enum Dialect {
     Mysql,
     /// PostgreSQL-like profile.
     Postgres,
-    /// DuckDB-like profile (columnar, strictly typed).
+    /// DuckDB-like profile (strictly typed).
     Duckdb,
 }
 
@@ -73,15 +73,6 @@ impl Dialect {
     #[must_use]
     pub fn strict_typing(self) -> bool {
         matches!(self, Dialect::Postgres | Dialect::Duckdb)
-    }
-
-    /// Whether the executor should use the columnar batch layout
-    /// (column-at-a-time scan, filter and aggregate paths) for this
-    /// dialect.  Off for the three row-store profiles so their execution
-    /// traces stay byte-identical to the row pipeline.
-    #[must_use]
-    pub fn prefers_columnar(self) -> bool {
-        self == Dialect::Duckdb
     }
 
     /// Whether a value of any storage class may be stored in any column
@@ -297,11 +288,6 @@ mod tests {
 
     #[test]
     fn duckdb_profile_is_columnar_and_strict() {
-        assert!(Dialect::Duckdb.prefers_columnar());
-        assert!(
-            !Dialect::ALL.iter().any(|d| d.prefers_columnar() && *d != Dialect::Duckdb),
-            "the row-store profiles must keep the row pipeline"
-        );
         assert!(Dialect::Duckdb.strict_typing());
         assert!(Dialect::Postgres.strict_typing());
         assert!(!Dialect::Sqlite.strict_typing());

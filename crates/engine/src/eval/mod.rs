@@ -735,12 +735,7 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    pub(crate) fn comparison_collation(
-        &self,
-        left: &Expr,
-        right: &Expr,
-        schema: &RowSchema,
-    ) -> Collation {
+    fn comparison_collation(&self, left: &Expr, right: &Expr, schema: &RowSchema) -> Collation {
         if !self.dialect.has_collations() {
             return Collation::Binary;
         }
@@ -775,17 +770,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Maps a three-valued comparison onto one of the six ordering
-    /// operators.  Shared by the scalar comparison arm above and the
-    /// vectorised filter kernels in `exec::colbatch`, so both layouts
-    /// decide comparisons with literally the same code.  Callers apply
-    /// any fault-driven operand mutations *before* this point.
-    pub(crate) fn compare_values_tri(
-        &self,
-        op: BinaryOp,
-        lv: &Value,
-        rv: &Value,
-        coll: Collation,
-    ) -> TriBool {
+    /// operators (the decision step of the comparison arm above).
+    /// Callers apply any fault-driven operand mutations *before* this
+    /// point.
+    fn compare_values_tri(&self, op: BinaryOp, lv: &Value, rv: &Value, coll: Collation) -> TriBool {
         match self.compare_tri(lv, rv, coll) {
             None => TriBool::Unknown,
             Some(ord) => {

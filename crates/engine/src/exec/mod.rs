@@ -2,7 +2,6 @@
 
 pub(crate) mod access;
 pub mod batch;
-mod colbatch;
 mod ddl;
 mod dml;
 mod maintenance;
@@ -284,9 +283,8 @@ impl Engine {
 
     /// Evaluates a read-only statement *as if* it were the engine's
     /// `ordinal`-th statement (0-based) — through the same operator
-    /// pipeline (row and columnar) as [`Engine::execute`], but over
-    /// `&self`: no counter bump, no atomicity snapshot, no workspace
-    /// swap, no RNG draws.  Coverage is recorded through the shared
+    /// pipeline as [`Engine::execute`], but over `&self`: no counter
+    /// bump, no atomicity snapshot, no workspace swap, no RNG draws.  Coverage is recorded through the shared
     /// interior-mutability sink, so the keys are identical to the
     /// mutable path's.
     ///

@@ -21,33 +21,26 @@
 //! models, so the executor's scan-kind choice and the plan tree cannot
 //! drift apart.
 //!
-//! **Layouts.**  Batches move between operators as a
-//! [`Batch`](crate::exec::colbatch::Batch): row-major for the three
-//! row-store dialects, column-major ([`ColumnBatch`]) for the dialect
-//! whose profile [`prefers_columnar`](crate::dialect::Dialect::
-//! prefers_columnar).  Scan, Filter, Project and Aggregate have
-//! column-at-a-time implementations; every other operator (and every
-//! predicate or projection shape the vectorised kernels cannot prove
-//! infallible) pivots back to rows and runs the row code, so the
-//! columnar path can never produce different rows, errors or coverage
-//! than the row path it shadows.
+//! **One layout.**  Every dialect, the DuckDB-like profile included,
+//! runs this row pipeline, so each injected fault has one hook site on
+//! the pipeline side (plus its copy in `exec::reference`, unless the two
+//! share the helper that applies it).
 
 use std::sync::Arc;
 
-use lancer_sql::ast::expr::{AggFunc, Expr, TypeName};
+use lancer_sql::ast::expr::{Expr, TypeName};
 use lancer_sql::ast::stmt::{Join as JoinClause, JoinKind, Select, SelectItem};
 use lancer_sql::collation::Collation;
 use lancer_sql::value::Value;
 
 use crate::bugs::BugId;
 use crate::error::EngineResult;
-use crate::eval::{eval_aggregate, RowSchema};
+use crate::eval::RowSchema;
 use crate::exec::access::{find_equality_probe, probe_blocked_by_inheritance, probe_candidates};
 use crate::exec::batch::RowBatch;
-use crate::exec::colbatch::{compile_filter_kernel, Batch, ColumnBatch, FilterKernel};
 use crate::exec::query::{
-    columnar_sum_tail_len, concat_row, cross_product, expr_references_column,
-    find_is_not_literal_column, rewrite_like_int_affinity, selection_tail_victim,
+    concat_row, cross_product, expr_references_column, find_is_not_literal_column,
+    rewrite_like_int_affinity, selection_tail_victim,
 };
 use crate::exec::{Engine, QueryResult};
 
@@ -126,18 +119,18 @@ impl<'q> Operator<'q> {
         &self,
         engine: &Engine,
         s: &'q Select,
-        batch: Batch,
-    ) -> EngineResult<Batch> {
+        batch: RowBatch,
+    ) -> EngineResult<RowBatch> {
         match self {
             Operator::Scan => engine.op_scan(s),
-            Operator::Join(join) => engine.op_join(join, batch.into_rows()).map(Batch::Rows),
+            Operator::Join(join) => engine.op_join(join, batch),
             Operator::IndexProbe => engine.op_index_probe(s, batch),
             Operator::Filter(w) => engine.op_filter(w, batch),
             Operator::Project => engine.op_project(s, batch),
             Operator::Aggregate => engine.op_aggregate(s, batch),
-            Operator::Distinct => engine.op_distinct(s, batch.into_rows()).map(Batch::Rows),
-            Operator::Sort => engine.op_sort(s, batch.into_rows()).map(Batch::Rows),
-            Operator::Limit => engine.op_limit(s, batch.into_rows()).map(Batch::Rows),
+            Operator::Distinct => engine.op_distinct(s, batch),
+            Operator::Sort => engine.op_sort(s, batch),
+            Operator::Limit => engine.op_limit(s, batch),
         }
     }
 }
@@ -145,55 +138,15 @@ impl<'q> Operator<'q> {
 impl Engine {
     pub(crate) fn exec_select(&self, s: &Select) -> EngineResult<QueryResult> {
         self.select_preflight(s)?;
-        let mut batch = Batch::Rows(RowBatch::empty());
+        let mut batch = RowBatch::empty();
         for op in assemble(s) {
             batch = op.apply(self, s, batch)?;
         }
-        let batch = batch.into_rows();
         Ok(QueryResult { columns: batch.columns, rows: batch.rows, affected: 0 })
     }
 
     /// Loads the `FROM` sources and folds them into the initial batch.
-    /// The columnar dialect's single-table scans materialise straight
-    /// into column vectors; everything else takes the row path.
-    fn op_scan(&self, s: &Select) -> EngineResult<Batch> {
-        if self.dialect().prefers_columnar() && s.from.len() == 1 && s.joins.is_empty() {
-            if let Some(cb) = self.scan_columnar(&s.from[0]) {
-                return Ok(Batch::Cols(cb));
-            }
-        }
-        self.op_scan_rows(s).map(Batch::Rows)
-    }
-
-    /// Single-table columnar scan.  `None` when the source needs the row
-    /// loader: views, missing tables (so the error rises from the same
-    /// place), and any scan-time row-rewriting fault.
-    fn scan_columnar(&self, name: &str) -> Option<ColumnBatch> {
-        if self.db.view(name).is_some()
-            || self.db.table(name).is_none()
-            || self.bugs().is_enabled(BugId::SqliteNoCaseWithoutRowidDedup)
-        {
-            return None;
-        }
-        self.cover("exec.table_scan");
-        let table = self.db.table(name).expect("table presence just checked");
-        let schema = table.schema.clone();
-        let mut cols: Vec<Vec<Value>> = (0..schema.columns.len()).map(|_| Vec::new()).collect();
-        let mut len = 0usize;
-        for row in table.rows() {
-            for (c, v) in row.values.into_iter().enumerate() {
-                cols[c].push(v);
-            }
-            len += 1;
-        }
-        let schema = RowSchema::single(crate::eval::SourceSchema {
-            name: schema.name.clone(),
-            columns: schema.columns.clone(),
-        });
-        Some(ColumnBatch { schema: Arc::new(schema), columns: Vec::new(), cols, len })
-    }
-
-    fn op_scan_rows(&self, s: &Select) -> EngineResult<RowBatch> {
+    fn op_scan(&self, s: &Select) -> EngineResult<RowBatch> {
         let mut sources = Vec::with_capacity(s.from.len());
         for name in &s.from {
             sources.push(self.load_source(name)?);
@@ -297,29 +250,7 @@ impl Engine {
 
     /// Single-`FROM` index interactions: the Listing-1 partial-index fault
     /// first, then the equality-probe fast path (single source only).
-    ///
-    /// A columnar batch passes through untouched unless one of those
-    /// actually applies — then it pivots to rows so the probe (and any
-    /// fault corrupting it) runs the identical row code.
-    fn op_index_probe(&self, s: &Select, batch: Batch) -> EngineResult<Batch> {
-        let batch = match batch {
-            Batch::Cols(cb) => {
-                let probe_applies = self.bugs().is_enabled(BugId::SqlitePartialIndexImpliesNotNull)
-                    || (s.joins.is_empty()
-                        && s.where_clause
-                            .as_ref()
-                            .is_some_and(|w| find_equality_probe(w).is_some()));
-                if !probe_applies {
-                    return Ok(Batch::Cols(cb));
-                }
-                cb.into_rows()
-            }
-            Batch::Rows(b) => b,
-        };
-        self.op_index_probe_rows(s, batch).map(Batch::Rows)
-    }
-
-    fn op_index_probe_rows(&self, s: &Select, mut batch: RowBatch) -> EngineResult<RowBatch> {
+    fn op_index_probe(&self, s: &Select, mut batch: RowBatch) -> EngineResult<RowBatch> {
         // Injected fault: a partial index whose predicate is `col NOT NULL`
         // is (incorrectly) used for `col IS NOT <literal>` conditions,
         // dropping NULL pivot rows (Listing 1).
@@ -444,12 +375,9 @@ impl Engine {
         Ok(out)
     }
 
-    /// The `WHERE` filter over one batch.  A columnar batch is filtered
-    /// by a vectorised kernel into a selection bitmap when the predicate
-    /// compiles ([`compile_filter_kernel`]); otherwise it pivots to rows
-    /// and runs the row loop, preserving per-row evaluation order (and
-    /// therefore error order) exactly.
-    fn op_filter(&self, w: &Expr, batch: Batch) -> EngineResult<Batch> {
+    /// The `WHERE` filter over one batch, one row at a time in input
+    /// order (so evaluation errors rise in row order).
+    fn op_filter(&self, w: &Expr, mut batch: RowBatch) -> EngineResult<RowBatch> {
         self.cover("exec.where_filter");
         // Injected fault: the LIKE optimisation on INTEGER-affinity NOCASE
         // columns rejects exact matches (Listing 7).  The rewrite clones
@@ -457,34 +385,12 @@ impl Engine {
         let rewritten;
         let where_clause: &Expr =
             if self.bugs().is_enabled(BugId::SqliteLikeIntAffinityOptimisation) {
-                rewritten = rewrite_like_int_affinity(w, batch.schema());
+                rewritten = rewrite_like_int_affinity(w, &batch.schema);
                 &rewritten
             } else {
                 w
             };
         let tail_fault = self.bugs().is_enabled(BugId::DuckdbSelectionBitmapTailOffByOne);
-        let mut batch = match batch {
-            Batch::Cols(mut cb) => {
-                let ev = self.evaluator();
-                let bitmap = compile_filter_kernel(where_clause, &cb.schema, &ev)
-                    .and_then(|k| k.eval(&cb.cols, cb.len, &ev));
-                if let Some(bitmap) = bitmap {
-                    let mut kept: Vec<usize> =
-                        (0..cb.len).filter(|&i| bitmap[i].is_true()).collect();
-                    // Injected fault: the selection bitmap mishandles the
-                    // partial tail lane group (columnar extension).
-                    if tail_fault {
-                        if let Some(victim) = selection_tail_victim(&kept, cb.len) {
-                            kept.remove(victim);
-                        }
-                    }
-                    cb.retain_indices(&kept);
-                    return Ok(Batch::Cols(cb));
-                }
-                cb.into_rows()
-            }
-            Batch::Rows(b) => b,
-        };
         let ev = self.evaluator();
         let input_len = batch.rows.len();
         let mut kept = Vec::new();
@@ -499,13 +405,15 @@ impl Engine {
                 kept.push(r);
             }
         }
+        // Injected fault: the selection bitmap mishandles the partial tail
+        // lane group (DuckDB lane-width fault).
         if tail_fault {
             if let Some(victim) = selection_tail_victim(&kept_idx, input_len) {
                 kept.remove(victim);
             }
         }
         batch.rows = kept;
-        Ok(Batch::Rows(batch))
+        Ok(batch)
     }
 
     /// Poisoned projection after RENAME COLUMN + double-quoted index
@@ -551,65 +459,8 @@ impl Engine {
         columns
     }
 
-    /// Plain (non-aggregate) projection.  A columnar batch stays
-    /// columnar when every item is a plain resolvable column (labels for
-    /// a wildcard, column gathering otherwise); expression items pivot
-    /// to the row path so evaluation errors keep their per-row order.
-    fn op_project(&self, s: &Select, batch: Batch) -> EngineResult<Batch> {
-        let batch = match batch {
-            Batch::Cols(cb) => {
-                if self.poisoned_columns.is_empty() {
-                    match self.project_columnar(s, cb) {
-                        Ok(done) => return Ok(Batch::Cols(done)),
-                        Err(cb) => cb.into_rows(),
-                    }
-                } else {
-                    cb.into_rows()
-                }
-            }
-            Batch::Rows(b) => b,
-        };
-        self.op_project_rows(s, batch).map(Batch::Rows)
-    }
-
-    /// Columnar projection; `Err` hands the untouched batch back for the
-    /// row path.
-    fn project_columnar(
-        &self,
-        s: &Select,
-        mut cb: ColumnBatch,
-    ) -> Result<ColumnBatch, ColumnBatch> {
-        let columns = self.projection_columns(s, &cb.schema);
-        if let [SelectItem::Wildcard] = s.items.as_slice() {
-            cb.columns = columns;
-            return Ok(cb);
-        }
-        let mut picks: Vec<usize> = Vec::with_capacity(s.items.len());
-        for item in &s.items {
-            match item {
-                SelectItem::Expr { expr: Expr::Column(c), .. } => match cb.schema.resolve(c) {
-                    Some((i, _)) => picks.push(i),
-                    None => return Err(cb),
-                },
-                _ => return Err(cb),
-            }
-        }
-        // Gather: move each source column at its last use, clone earlier
-        // duplicate uses.
-        let mut out_cols: Vec<Vec<Value>> = Vec::with_capacity(picks.len());
-        for (k, &i) in picks.iter().enumerate() {
-            if picks[k + 1..].contains(&i) {
-                out_cols.push(cb.cols[i].clone());
-            } else {
-                out_cols.push(std::mem::take(&mut cb.cols[i]));
-            }
-        }
-        cb.cols = out_cols;
-        cb.columns = columns;
-        Ok(cb)
-    }
-
-    fn op_project_rows(&self, s: &Select, mut batch: RowBatch) -> EngineResult<RowBatch> {
+    /// Plain (non-aggregate) projection.
+    fn op_project(&self, s: &Select, mut batch: RowBatch) -> EngineResult<RowBatch> {
         self.apply_poisoned_columns(s, &mut batch);
         let columns = self.projection_columns(s, &batch.schema);
         // `SELECT *` is the identity on the batch: source rows *are* the
@@ -638,117 +489,8 @@ impl Engine {
         Ok(batch)
     }
 
-    /// Grouping / aggregation projection.  The columnar fast path covers
-    /// the single implicit group whose every item is a plain aggregate —
-    /// over a column, over `*`, or over the NoREC `CASE WHEN p THEN x
-    /// ELSE y END` rewrite — folding column vectors without ever
-    /// rebuilding rows.  Everything else pivots to the row path.
-    fn op_aggregate(&self, s: &Select, batch: Batch) -> EngineResult<Batch> {
-        let batch = match batch {
-            Batch::Cols(cb) => match self.aggregate_columnar(s, cb)? {
-                Ok(done) => return Ok(Batch::Rows(done)),
-                Err(cb) => cb.into_rows(),
-            },
-            Batch::Rows(b) => b,
-        };
-        self.op_aggregate_rows(s, batch).map(Batch::Rows)
-    }
-
-    /// Column-at-a-time aggregation.  The outer `EngineResult` carries
-    /// evaluation errors (which the row path would raise identically);
-    /// the inner `Err` hands the untouched batch back for the row path.
-    fn aggregate_columnar(
-        &self,
-        s: &Select,
-        cb: ColumnBatch,
-    ) -> EngineResult<Result<RowBatch, ColumnBatch>> {
-        use std::borrow::Cow;
-        enum Fold {
-            /// `AGG(*)`: one `1` per input row, like the row path builds.
-            Ones(AggFunc),
-            /// `AGG(col)`: fold the column vector in place, zero copies.
-            Column(AggFunc, usize),
-            /// `AGG(CASE WHEN p THEN x ELSE y END)`: selection bitmap
-            /// mapped onto the two literals (the NoREC rewrite shape).
-            CaseMap(AggFunc, FilterKernel, Value, Value),
-        }
-        if !s.group_by.is_empty()
-            || s.having.is_some()
-            || !self.poisoned_columns.is_empty()
-            || s.items.is_empty()
-        {
-            return Ok(Err(cb));
-        }
-        let mut folds = Vec::with_capacity(s.items.len());
-        {
-            let ev = self.evaluator();
-            for item in &s.items {
-                let SelectItem::Expr {
-                    expr: Expr::Aggregate { func, arg, distinct: false }, ..
-                } = item
-                else {
-                    return Ok(Err(cb));
-                };
-                let fold = match arg.as_deref() {
-                    None => Fold::Ones(*func),
-                    Some(Expr::Column(c)) => match cb.schema.resolve(c) {
-                        Some((i, _)) => Fold::Column(*func, i),
-                        None => return Ok(Err(cb)),
-                    },
-                    Some(Expr::Case { operand: None, branches, else_expr: Some(els) }) => {
-                        let ([(when, Expr::Literal(then))], Expr::Literal(els)) =
-                            (branches.as_slice(), els.as_ref())
-                        else {
-                            return Ok(Err(cb));
-                        };
-                        match compile_filter_kernel(when, &cb.schema, &ev) {
-                            Some(k) => Fold::CaseMap(*func, k, then.clone(), els.clone()),
-                            None => return Ok(Err(cb)),
-                        }
-                    }
-                    _ => return Ok(Err(cb)),
-                };
-                folds.push(fold);
-            }
-        }
-        self.cover("exec.group_by");
-        // Injected fault: the vectorised SUM fold skips the partial tail
-        // lane block (columnar extension) — the same truncation the row
-        // path and the reference evaluator apply in `eval_aggregate_expr`.
-        let sum_fault = self.bugs().is_enabled(BugId::DuckdbSumLaneWideningSkipsTail);
-        let ev = self.evaluator();
-        let mut out_row = Vec::with_capacity(folds.len());
-        for fold in &folds {
-            let (func, mut values): (AggFunc, Cow<'_, [Value]>) = match fold {
-                Fold::Ones(f) => (*f, Cow::Owned(vec![Value::Integer(1); cb.len])),
-                Fold::Column(f, i) => (*f, Cow::Borrowed(&cb.cols[*i][..])),
-                Fold::CaseMap(f, k, then, els) => match k.eval(&cb.cols, cb.len, &ev) {
-                    Some(bitmap) => (
-                        *f,
-                        Cow::Owned(
-                            bitmap
-                                .into_iter()
-                                .map(|t| if t.is_true() { then.clone() } else { els.clone() })
-                                .collect(),
-                        ),
-                    ),
-                    None => return Ok(Err(cb)),
-                },
-            };
-            if sum_fault && func == AggFunc::Sum {
-                let keep = columnar_sum_tail_len(values.len());
-                match &mut values {
-                    Cow::Borrowed(s) => *s = &s[..keep],
-                    Cow::Owned(v) => v.truncate(keep),
-                }
-            }
-            out_row.push(eval_aggregate(func, &values, false, self.dialect())?);
-        }
-        let columns = self.projection_columns(s, &cb.schema);
-        Ok(Ok(RowBatch { schema: cb.schema, columns, rows: vec![out_row] }))
-    }
-
-    fn op_aggregate_rows(&self, s: &Select, mut batch: RowBatch) -> EngineResult<RowBatch> {
+    /// Grouping / aggregation projection.
+    fn op_aggregate(&self, s: &Select, mut batch: RowBatch) -> EngineResult<RowBatch> {
         self.apply_poisoned_columns(s, &mut batch);
         self.cover("exec.group_by");
         let schema = Arc::clone(&batch.schema);
@@ -1029,17 +771,16 @@ mod tests {
     }
 
     #[test]
-    fn columnar_dialect_scans_columnar_and_matches_row_semantics() {
+    fn duckdb_and_postgres_return_identical_rows() {
         let setup = "CREATE TABLE t0(c0 INTEGER, c1 TEXT);
              INSERT INTO t0(c0, c1) VALUES (1, 'a'), (2, 'b'), (3, 'c'), (NULL, 'd');";
-        let mut cols = Engine::new(Dialect::Duckdb);
-        cols.execute_script(setup).unwrap();
-        let plan = cols.execute_sql("EXPLAIN SELECT c0 FROM t0 WHERE c0 > 1").unwrap();
-        assert!(plan.rows[0][0].to_string().contains("COLUMNAR SCAN t0"), "{plan:?}");
-        // Same query, kernel filter + columnar projection vs the row path
-        // (Postgres shares strict typing, so values line up exactly).
-        let mut rows = Engine::new(Dialect::Postgres);
-        rows.execute_script(setup).unwrap();
+        let mut duckdb = Engine::new(Dialect::Duckdb);
+        duckdb.execute_script(setup).unwrap();
+        let plan = duckdb.execute_sql("EXPLAIN SELECT c0 FROM t0 WHERE c0 > 1").unwrap();
+        assert_eq!(plan.rows[0][0].to_string(), "SCAN t0 WITH FILTER");
+        // Postgres shares strict typing, so values line up exactly.
+        let mut postgres = Engine::new(Dialect::Postgres);
+        postgres.execute_script(setup).unwrap();
         for q in [
             "SELECT c0 FROM t0 WHERE c0 > 1",
             "SELECT c1, c0 FROM t0 WHERE c0 IS NOT NULL",
@@ -1047,9 +788,9 @@ mod tests {
             "SELECT COUNT(*), SUM(c0), MIN(c0), MAX(c1) FROM t0 WHERE c0 >= 1",
         ] {
             assert_eq!(
-                cols.execute_sql(q).unwrap().rows,
-                rows.execute_sql(q).unwrap().rows,
-                "layouts diverged on {q}"
+                duckdb.execute_sql(q).unwrap().rows,
+                postgres.execute_sql(q).unwrap().rows,
+                "dialects diverged on {q}"
             );
         }
     }
@@ -1063,18 +804,19 @@ mod tests {
         }
         let setup = format!("CREATE TABLE t0(c0 INTEGER); {insert};");
         let fault = BugProfile::with(&[BugId::DuckdbSelectionBitmapTailOffByOne]);
-        // Columnar layout: the kernel's bitmap loses the last kept row of
-        // the partial tail lane group (rows 8.. of 9).
-        let mut cols = Engine::with_bugs(Dialect::Duckdb, fault.clone());
-        cols.execute_script(&setup).unwrap();
-        let got = cols.execute_sql("SELECT c0 FROM t0 WHERE c0 >= 1").unwrap();
+        // The filter loses the last kept row of the partial tail lane
+        // group (rows 8.. of 9).
+        let mut duckdb = Engine::with_bugs(Dialect::Duckdb, fault.clone());
+        duckdb.execute_script(&setup).unwrap();
+        let got = duckdb.execute_sql("SELECT c0 FROM t0 WHERE c0 >= 1").unwrap();
         assert_eq!(got.rows.len(), 8, "row with c0 = 9 should be dropped");
         assert!(!got.rows.iter().any(|r| r[0] == Value::Integer(9)));
-        // Row layout applies the identical off-by-one.
-        let mut rows = Engine::with_bugs(Dialect::Postgres, fault);
-        rows.execute_script(&setup).unwrap();
-        let row_got = rows.execute_sql("SELECT c0 FROM t0 WHERE c0 >= 1").unwrap();
-        assert_eq!(got.rows, row_got.rows);
+        // The hook keys off the fault, not the dialect: the same profile
+        // on Postgres drops the identical row.
+        let mut postgres = Engine::with_bugs(Dialect::Postgres, fault);
+        postgres.execute_script(&setup).unwrap();
+        let postgres_got = postgres.execute_sql("SELECT c0 FROM t0 WHERE c0 >= 1").unwrap();
+        assert_eq!(got.rows, postgres_got.rows);
         // A lane-multiple input has no partial tail group: no row lost.
         let mut aligned = Engine::with_bugs(
             Dialect::Duckdb,
@@ -1111,18 +853,18 @@ mod tests {
         let setup = "CREATE TABLE t0(c0 INTEGER);
              INSERT INTO t0(c0) VALUES (1), (2), (3), (4), (5), (6), (7), (8), (9), (10);";
         let fault = BugProfile::with(&[BugId::DuckdbSumLaneWideningSkipsTail]);
-        let mut cols = Engine::with_bugs(Dialect::Duckdb, fault.clone());
-        cols.execute_script(setup).unwrap();
+        let mut duckdb = Engine::with_bugs(Dialect::Duckdb, fault.clone());
+        duckdb.execute_script(setup).unwrap();
         // Only the first 8 of 10 values are folded: 36 instead of 55.
-        let got = cols.execute_sql("SELECT SUM(c0) FROM t0").unwrap();
+        let got = duckdb.execute_sql("SELECT SUM(c0) FROM t0").unwrap();
         assert_eq!(got.rows, vec![vec![Value::Integer(36)]]);
-        // The row path undercounts identically (shared eval_aggregate_expr
-        // hook), and COUNT is unaffected.
-        let mut rows = Engine::with_bugs(Dialect::Postgres, fault);
-        rows.execute_script(setup).unwrap();
-        assert_eq!(rows.execute_sql("SELECT SUM(c0) FROM t0").unwrap().rows, got.rows);
+        // The same profile on Postgres undercounts identically (one
+        // `eval_aggregate_expr` hook), and COUNT is unaffected.
+        let mut postgres = Engine::with_bugs(Dialect::Postgres, fault);
+        postgres.execute_script(setup).unwrap();
+        assert_eq!(postgres.execute_sql("SELECT SUM(c0) FROM t0").unwrap().rows, got.rows);
         assert_eq!(
-            cols.execute_sql("SELECT COUNT(c0) FROM t0").unwrap().rows,
+            duckdb.execute_sql("SELECT COUNT(c0) FROM t0").unwrap().rows,
             vec![vec![Value::Integer(10)]]
         );
     }

@@ -311,10 +311,9 @@ impl Engine {
                 };
                 // Injected fault: the vectorised SUM fold processes whole
                 // lane-width blocks and skips the partial tail block
-                // (columnar extension).  Applied here so the pipeline's
-                // row path and the reference evaluator undercount
-                // identically; the columnar fold applies the same
-                // truncation to its column slice.
+                // (DuckDB lane-width fault).  The pipeline and the
+                // reference evaluator both aggregate through here, so
+                // they undercount identically.
                 if *func == AggFunc::Sum
                     && !*distinct
                     && self.bugs().is_enabled(BugId::DuckdbSumLaneWideningSkipsTail)
@@ -357,9 +356,10 @@ impl Engine {
     }
 }
 
-/// Lane width of the simulated columnar executor.  The three columnar
-/// faults all key off a table length that is not a multiple of this, so
-/// a generated table with a "ragged" row count exposes them.
+/// Lane width of the vectorised engine the DuckDB profile emulates.  Its
+/// three lane-width faults all key off a table length that is not a
+/// multiple of this, so a generated table with a "ragged" row count
+/// exposes them.
 pub(crate) const COLUMNAR_LANE_WIDTH: usize = 8;
 
 /// Number of values a lane-blocked SUM fold actually consumes when the
@@ -374,8 +374,7 @@ pub(crate) fn columnar_sum_tail_len(n: usize) -> usize {
 /// lane group, losing the **last** kept row whose input index falls in
 /// it.  `None` when the input length is a lane multiple (no partial
 /// group) or no kept row lands in the tail.  Shared by the pipeline's
-/// row and columnar filters and by the reference evaluator so all three
-/// drop the same row.
+/// filter and by the reference evaluator so both drop the same row.
 pub(crate) fn selection_tail_victim(kept: &[usize], input_len: usize) -> Option<usize> {
     let tail_start = columnar_sum_tail_len(input_len);
     if tail_start == input_len {

@@ -345,8 +345,8 @@ impl Engine {
                 }
             }
             // Injected fault: the selection bitmap mishandles the partial
-            // tail lane group (columnar extension) — identical to the
-            // pipeline's filter, row and columnar layouts alike.
+            // tail lane group (DuckDB lane-width fault) — identical to the
+            // pipeline's filter.
             if tail_fault {
                 if let Some(victim) = selection_tail_victim(&kept_idx, input_len) {
                     kept.remove(victim);

@@ -67,10 +67,6 @@ impl fmt::Display for PlanFingerprint {
 pub enum ScanKind {
     /// Read every row of the table.
     Full,
-    /// Read every row, materialising column vectors instead of rows (the
-    /// columnar dialect's layout; part of plan identity so fingerprints
-    /// distinguish the two layouts).
-    ColumnarScan,
     /// Probe the named index, then fetch matching rows from the table.
     Index {
         /// The chosen index.
@@ -225,7 +221,6 @@ fn render_node(node: &PlanNode, depth: usize, out: &mut Vec<String>) {
         PlanNode::Scan { table, kind, pushed_filter, analyzed } => {
             let mut line = match kind {
                 ScanKind::Full => format!("{pad}SCAN {table}"),
-                ScanKind::ColumnarScan => format!("{pad}COLUMNAR SCAN {table}"),
                 ScanKind::Index { index } => format!("{pad}SEARCH {table} USING INDEX {index}"),
                 ScanKind::CoveringIndex { index } => {
                     format!("{pad}SEARCH {table} USING COVERING INDEX {index}")
@@ -388,22 +383,14 @@ impl Engine {
         };
         let pushed_filter = single_source && s.where_clause.is_some();
         let analyzed = self.analyzed.contains(&name.to_ascii_lowercase());
-        // The columnar dialect materialises single-table scans into
-        // column vectors — the same gate `op_scan` applies — and that
-        // layout choice is plan identity.
-        let full_scan = if single_source && self.dialect().prefers_columnar() {
-            ScanKind::ColumnarScan
-        } else {
-            ScanKind::Full
-        };
         let kind = if single_source {
             s.where_clause
                 .as_ref()
                 .and_then(find_equality_probe)
                 .and_then(|(col, lit)| self.eligible_index(name, &col, &lit, s))
-                .unwrap_or(full_scan)
+                .unwrap_or(ScanKind::Full)
         } else {
-            full_scan
+            ScanKind::Full
         };
         PlanNode::Scan { table: table.schema.name.clone(), kind, pushed_filter, analyzed }
     }

@@ -131,21 +131,6 @@ proptest! {
         let dialect = Dialect::ALL[dialect_idx];
         check_differential(seed, dialect, BugProfile::all_for(dialect))?;
     }
-
-    /// The columnar dialect, pinned: every query here runs the columnar
-    /// scan, the vectorised filter kernels and the column-at-a-time
-    /// aggregate fold (or their row fallbacks) against the row-only
-    /// reference evaluator — rows, order, labels and errors must all
-    /// match, with the columnar faults enabled as well as without.
-    #[test]
-    fn columnar_pipeline_matches_row_reference(seed in any::<u64>(), faulty in any::<bool>()) {
-        let profile = if faulty {
-            BugProfile::all_for(Dialect::Duckdb)
-        } else {
-            BugProfile::none()
-        };
-        check_differential(seed, Dialect::Duckdb, profile)?;
-    }
 }
 
 /// The paper's listing shapes, pinned explicitly (the random suite above

@@ -5,12 +5,11 @@
 //!
 //! Random generated databases and random read-only statements (probe
 //! queries and `EXPLAIN`) run through both paths across all four
-//! dialects, with every injected fault enabled as well as with none, on
-//! the row pipeline and the columnar (DuckDB-like) layout.  A mutable
-//! *twin* clone executes the statements sequentially, so the read path
-//! is checked at every ordinal the mutable path actually passes through
-//! — a fault whose firing point drifts between the two paths is caught
-//! at the first statement that exposes it.
+//! dialects, with every injected fault enabled as well as with none.  A
+//! mutable *twin* clone executes the statements sequentially, so the
+//! read path is checked at every ordinal the mutable path actually
+//! passes through — a fault whose firing point drifts between the two
+//! paths is caught at the first statement that exposes it.
 
 use std::sync::Arc;
 
@@ -86,19 +85,6 @@ proptest! {
     fn query_matches_execute_with_all_faults(seed in any::<u64>(), dialect_idx in 0usize..4) {
         let dialect = Dialect::ALL[dialect_idx];
         check_readonly_differential(seed, dialect, BugProfile::all_for(dialect))?;
-    }
-
-    /// The columnar dialect, pinned: the vectorised scan, filter kernels
-    /// and aggregate folds all run behind `&self` and must stay
-    /// bit-identical to the mutable path, faults on and off.
-    #[test]
-    fn columnar_query_matches_execute(seed in any::<u64>(), faulty in any::<bool>()) {
-        let profile = if faulty {
-            BugProfile::all_for(Dialect::Duckdb)
-        } else {
-            BugProfile::none()
-        };
-        check_readonly_differential(seed, Dialect::Duckdb, profile)?;
     }
 }
 
