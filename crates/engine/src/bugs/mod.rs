@@ -226,16 +226,6 @@ define_bugs! {
         paper: "Section 4.2 (crash bugs)",
         desc: "a LIKE pattern ending in an escape character crashes the pattern compiler"
     },
-    SqliteTypeofCastQuirk => {
-        dialect: Dialect::Sqlite, oracle: Oracle::Containment, status: BugStatus::Intended,
-        paper: "Section 4.2 (intended behaviour)",
-        desc: "TYPEOF of a CAST BLOB reports 'text'; documented storage-class behaviour, reported but intended"
-    },
-    SqliteLikeIntAffinityOptimisationGlob => {
-        dialect: Dialect::Sqlite, oracle: Oracle::Containment, status: BugStatus::Duplicate,
-        paper: "Listing 7 (duplicate family)",
-        desc: "a second manifestation of the LIKE optimisation family; reported separately, closed as duplicate"
-    },
     SqliteRowidAliasInsertMismatch => {
         dialect: Dialect::Sqlite, oracle: Oracle::Containment, status: BugStatus::Fixed,
         paper: "Section 4.4",
@@ -387,9 +377,6 @@ impl BugId {
     #[must_use]
     pub fn duplicate_of(self) -> Option<BugId> {
         match self {
-            BugId::SqliteLikeIntAffinityOptimisationGlob => {
-                Some(BugId::SqliteLikeIntAffinityOptimisation)
-            }
             BugId::MysqlDoubleNegationFolded => Some(BugId::MysqlNullSafeEqOutOfRange),
             BugId::PostgresStatisticsCrashDuplicate => {
                 Some(BugId::PostgresStatisticsNegativeBitmapset)

@@ -10,25 +10,25 @@
 //! copies), the schema is stored once per batch, and a `SELECT *`
 //! projection over unaliased sources is the identity on the batch.
 //!
-//! **Determinism contract.**  The pipeline is a pure restructuring of the
-//! original straight-line evaluator, which is retained verbatim as
-//! `exec::reference` and compared against it by a property suite
-//! (`tests/pipeline_differential.rs`): same rows in the same order, same
-//! errors, same coverage points — and every injected fault (the
-//! Listing-1/Listing-2 shapes and friends) fires at exactly the same rows
-//! as before.  Operator assembly reads the catalog through
-//! [`exec::access`](crate::exec::access), the same facts `crate::plan`
-//! models, so the executor's scan-kind choice and the plan tree cannot
-//! drift apart.
+//! **Determinism contract.**  The pipeline is a restructuring of the
+//! straight-line evaluator kept as `exec::reference`, the fault-free
+//! specification.  A property suite (`tests/pipeline_differential.rs`)
+//! holds the two to the same rows in the same order and the same errors
+//! whenever no `SELECT`-operator fault is enabled, and pins one query per
+//! operator fault whose rows that fault changes.  Operator assembly reads
+//! the catalog through [`exec::access`](crate::exec::access), the same
+//! facts `crate::plan` models, so the executor's scan-kind choice and the
+//! plan tree cannot drift apart.
 //!
-//! **One layout.**  Every dialect, the DuckDB-like profile included,
-//! runs this row pipeline, so each injected fault has one hook site on
-//! the pipeline side (plus its copy in `exec::reference`, unless the two
-//! share the helper that applies it).
+//! **One hook per fault.**  Every dialect, the DuckDB-like profile
+//! included, runs this row pipeline.  Each `SELECT`-operator fault hooks
+//! once, in the operator that owns its stage of the data flow (the two
+//! scan faults in `Engine::load_source`, which only `Scan` and `Join`
+//! call); the reference evaluator has no copy.
 
 use std::sync::Arc;
 
-use lancer_sql::ast::expr::{Expr, TypeName};
+use lancer_sql::ast::expr::{BinaryOp, Expr, TypeName};
 use lancer_sql::ast::stmt::{Join as JoinClause, JoinKind, Select, SelectItem};
 use lancer_sql::collation::Collation;
 use lancer_sql::value::Value;
@@ -39,8 +39,7 @@ use crate::eval::RowSchema;
 use crate::exec::access::{find_equality_probe, probe_blocked_by_inheritance, probe_candidates};
 use crate::exec::batch::RowBatch;
 use crate::exec::query::{
-    concat_row, cross_product, expr_references_column, find_is_not_literal_column,
-    rewrite_like_int_affinity, selection_tail_victim,
+    columnar_sum_tail_len, concat_row, cross_product, expr_references_column,
 };
 use crate::exec::{Engine, QueryResult};
 
@@ -48,8 +47,7 @@ use crate::exec::{Engine, QueryResult};
 ///
 /// Operators are assembled from the query shape alone ([`assemble`]);
 /// catalog- and fault-dependent decisions happen inside
-/// [`Operator::apply`], at the same points of the data flow as in the
-/// reference evaluator.
+/// [`Operator::apply`].
 pub(crate) enum Operator<'q> {
     /// Load every `FROM` source, apply the MEMORY-engine join fault, and
     /// fold the sources into one batch (cross product).
@@ -495,9 +493,7 @@ impl Engine {
         self.cover("exec.group_by");
         let schema = Arc::clone(&batch.schema);
         let ev = self.evaluator();
-        // Build groups.  The batch's rows are consumed directly — the
-        // reference evaluator's row-at-a-time shape forced a full copy of
-        // the input here.
+        // Build groups.  The batch's rows are consumed directly.
         let mut group_keys: Vec<Vec<Value>> = Vec::new();
         let mut groups: Vec<Vec<Vec<Value>>> = Vec::new();
         let mut input_rows: Vec<Vec<Value>> = std::mem::take(&mut batch.rows);
@@ -673,6 +669,71 @@ impl Engine {
         batch.rows = batch.rows.into_iter().skip(offset).take(limit).collect();
         Ok(batch)
     }
+}
+
+/// Detects a top-level `col IS NOT <non-null literal>` condition and returns
+/// the column name.
+fn find_is_not_literal_column(expr: &Expr) -> Option<String> {
+    match expr {
+        Expr::Binary { op: BinaryOp::IsNot, left, right } => {
+            match (left.as_ref(), right.as_ref()) {
+                (Expr::Column(c), Expr::Literal(v)) if !v.is_null() => Some(c.column.clone()),
+                (Expr::Literal(v), Expr::Column(c)) if !v.is_null() => Some(c.column.clone()),
+                _ => None,
+            }
+        }
+        Expr::Binary { op: BinaryOp::And, left, right } => {
+            find_is_not_literal_column(left).or_else(|| find_is_not_literal_column(right))
+        }
+        _ => None,
+    }
+}
+
+/// Rewrites `col LIKE pattern` into `0` when `col` is an INTEGER-affinity
+/// NOCASE column and the pattern contains no wildcard — the shape of the
+/// broken LIKE optimisation from Listing 7.
+fn rewrite_like_int_affinity(expr: &Expr, schema: &RowSchema) -> Expr {
+    match expr {
+        Expr::Like { negated, expr: inner, pattern } => {
+            if let (Expr::Column(c), Expr::Literal(Value::Text(p))) =
+                (inner.as_ref(), pattern.as_ref())
+            {
+                if !p.contains('%') && !p.contains('_') {
+                    if let Some((_, meta)) = schema.resolve(c) {
+                        if meta.type_name == Some(TypeName::Integer)
+                            && meta.collation == Collation::NoCase
+                        {
+                            return Expr::Literal(Value::Integer(i64::from(*negated)));
+                        }
+                    }
+                }
+            }
+            expr.clone()
+        }
+        Expr::Binary { op, left, right } => Expr::Binary {
+            op: *op,
+            left: Box::new(rewrite_like_int_affinity(left, schema)),
+            right: Box::new(rewrite_like_int_affinity(right, schema)),
+        },
+        Expr::Unary { op, expr: inner } => {
+            Expr::Unary { op: *op, expr: Box::new(rewrite_like_int_affinity(inner, schema)) }
+        }
+        other => other.clone(),
+    }
+}
+
+/// Injected fault support: which kept row the broken selection bitmap
+/// drops (columnar extension).  `kept` holds the input-row indices that
+/// passed the filter, ascending; the bitmap mishandles the partial tail
+/// lane group, losing the **last** kept row whose input index falls in
+/// it.  `None` when the input length is a lane multiple (no partial
+/// group) or no kept row lands in the tail.
+fn selection_tail_victim(kept: &[usize], input_len: usize) -> Option<usize> {
+    let tail_start = columnar_sum_tail_len(input_len);
+    if tail_start == input_len {
+        return None;
+    }
+    kept.iter().rposition(|&i| i >= tail_start)
 }
 
 #[cfg(test)]

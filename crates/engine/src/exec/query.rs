@@ -1,13 +1,15 @@
-//! Query execution: compound queries, `FROM`-source loading, the
-//! planning-time error faults, and the leaf helpers shared by the batched
-//! pipeline (`exec::pipeline`) and the retained reference evaluator
-//! (`exec::reference`).
+//! Query execution: compound queries, the pipeline's `FROM`-source
+//! loading, and what the batched pipeline (`exec::pipeline`) shares with
+//! the fault-free reference evaluator (`exec::reference`): the `SELECT`
+//! preflight with its planning-time error faults, aggregate evaluation,
+//! and the row helpers.
 //!
 //! Most containment-oracle faults fire inside `SELECT` execution, because
 //! that is where a real DBMS's planner and optimisations live — exactly
 //! the components the paper found to be the richest source of logic bugs.
-//! A plain `SELECT` runs through the operator pipeline; this module owns
-//! everything both evaluators share.
+//! The `SELECT`-operator faults hook in the pipeline, and in
+//! [`Engine::load_source`], which only the pipeline calls.  The fault
+//! hooks in the shared helpers fire through both evaluators.
 
 use lancer_sql::ast::expr::{AggFunc, BinaryOp, Expr, TypeName};
 use lancer_sql::ast::stmt::{CompoundOp, Query, Select, TableEngine};
@@ -108,7 +110,9 @@ impl Engine {
     }
 
     /// Loads the rows of one `FROM` source (table, view, or inheritance
-    /// hierarchy), expanding views through the pipeline.
+    /// hierarchy) for the pipeline, expanding views through it too.  Home
+    /// of the two scan faults (WITHOUT ROWID dedup, SERIAL inheritance
+    /// bypass).
     pub(crate) fn load_source(&self, name: &str) -> EngineResult<SourceData> {
         if let Some(view) = self.db.view(name).cloned() {
             self.cover("exec.view_expansion");
@@ -199,7 +203,7 @@ impl Engine {
         })
     }
 
-    pub(crate) fn table_has_nocase(&self, table: &str) -> bool {
+    fn table_has_nocase(&self, table: &str) -> bool {
         let nocase_col = self
             .db
             .table(table)
@@ -368,21 +372,6 @@ pub(crate) fn columnar_sum_tail_len(n: usize) -> usize {
     n - n % COLUMNAR_LANE_WIDTH
 }
 
-/// Injected fault support: which kept row the broken selection bitmap
-/// drops (columnar extension).  `kept` holds the input-row indices that
-/// passed the filter, ascending; the bitmap mishandles the partial tail
-/// lane group, losing the **last** kept row whose input index falls in
-/// it.  `None` when the input length is a lane multiple (no partial
-/// group) or no kept row lands in the tail.  Shared by the pipeline's
-/// filter and by the reference evaluator so both drop the same row.
-pub(crate) fn selection_tail_victim(kept: &[usize], input_len: usize) -> Option<usize> {
-    let tail_start = columnar_sum_tail_len(input_len);
-    if tail_start == input_len {
-        return None;
-    }
-    kept.iter().rposition(|&i| i >= tail_start)
-}
-
 pub(crate) fn contains(rows: &[Vec<Value>], row: &[Value]) -> bool {
     rows.iter().any(|r| r.len() == row.len() && r.iter().zip(row.iter()).all(|(a, b)| a.same_as(b)))
 }
@@ -423,57 +412,6 @@ fn expr_contains(expr: &Expr, pred: &dyn Fn(&Expr) -> bool) -> bool {
 
 pub(crate) fn expr_references_column(expr: &Expr, column: &str) -> bool {
     expr.column_refs().iter().any(|c| c.column.eq_ignore_ascii_case(column))
-}
-
-/// Detects a top-level `col IS NOT <non-null literal>` condition and returns
-/// the column name.
-pub(crate) fn find_is_not_literal_column(expr: &Expr) -> Option<String> {
-    match expr {
-        Expr::Binary { op: BinaryOp::IsNot, left, right } => {
-            match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(c), Expr::Literal(v)) if !v.is_null() => Some(c.column.clone()),
-                (Expr::Literal(v), Expr::Column(c)) if !v.is_null() => Some(c.column.clone()),
-                _ => None,
-            }
-        }
-        Expr::Binary { op: BinaryOp::And, left, right } => {
-            find_is_not_literal_column(left).or_else(|| find_is_not_literal_column(right))
-        }
-        _ => None,
-    }
-}
-
-/// Rewrites `col LIKE pattern` into `0` when `col` is an INTEGER-affinity
-/// NOCASE column and the pattern contains no wildcard — the shape of the
-/// broken LIKE optimisation from Listing 7.
-pub(crate) fn rewrite_like_int_affinity(expr: &Expr, schema: &RowSchema) -> Expr {
-    match expr {
-        Expr::Like { negated, expr: inner, pattern } => {
-            if let (Expr::Column(c), Expr::Literal(Value::Text(p))) =
-                (inner.as_ref(), pattern.as_ref())
-            {
-                if !p.contains('%') && !p.contains('_') {
-                    if let Some((_, meta)) = schema.resolve(c) {
-                        if meta.type_name == Some(TypeName::Integer)
-                            && meta.collation == Collation::NoCase
-                        {
-                            return Expr::Literal(Value::Integer(i64::from(*negated)));
-                        }
-                    }
-                }
-            }
-            expr.clone()
-        }
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(rewrite_like_int_affinity(left, schema)),
-            right: Box::new(rewrite_like_int_affinity(right, schema)),
-        },
-        Expr::Unary { op, expr: inner } => {
-            Expr::Unary { op: *op, expr: Box::new(rewrite_like_int_affinity(inner, schema)) }
-        }
-        other => other.clone(),
-    }
 }
 
 #[cfg(test)]

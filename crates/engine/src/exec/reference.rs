@@ -1,44 +1,46 @@
-//! The retained straight-line reference evaluator for `SELECT`.
+//! The fault-free reference evaluator for `SELECT`.
 //!
-//! This is the pre-pipeline, row-at-a-time `exec_select` kept verbatim
-//! (modulo the shared leaf helpers in `exec::query`) as an executable
-//! specification of the batched operator pipeline in `exec::pipeline`.
+//! A straight-line, row-at-a-time `SELECT` kept as the executable
+//! specification of the operator pipeline in `exec::pipeline`.  It holds
+//! no `SELECT`-operator fault: each of those hooks once, in the pipeline
+//! stage where its real bug lived.  Faults outside the operators still
+//! reach it, because it shares the expression evaluator, the preflight
+//! checks (`select_preflight`), `eval_aggregate_expr` and the engine state
+//! that DDL/DML faults corrupt.
+//!
 //! The differential property suite (`tests/pipeline_differential.rs`)
-//! executes randomly generated queries through both and requires
-//! identical results — rows, order, errors and all — with faults enabled
-//! *and* disabled, so a pipeline regression is caught at the query that
-//! exposes it rather than as a drifted campaign report.
+//! runs random queries through both evaluators and requires identical
+//! results (rows, order, errors and all) with no faults and with every
+//! fault but the operator faults.  It also pins, per operator fault, a
+//! query whose faulted rows differ from the reference's.
 //!
 //! The module is deliberately self-recursive: views and compound
 //! operands evaluated from here go through the reference path, never the
 //! pipeline, so the two implementations stay fully independent above the
 //! expression-evaluator layer.
 
-use lancer_sql::ast::expr::{BinaryOp, Expr, TypeName};
+use lancer_sql::ast::expr::{BinaryOp, Expr};
 use lancer_sql::ast::stmt::{CompoundOp, JoinKind, Query, Select, SelectItem, TableEngine};
 use lancer_sql::collation::Collation;
 use lancer_sql::value::Value;
 use lancer_storage::schema::ColumnMeta;
 
-use crate::bugs::BugId;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{RowSchema, SourceSchema};
-use crate::exec::query::{
-    concat_row, contains, cross_product, expr_references_column, find_is_not_literal_column,
-    rewrite_like_int_affinity, selection_tail_victim, SourceData,
-};
+use crate::exec::query::{concat_row, contains, cross_product, SourceData};
 use crate::exec::{Engine, QueryResult};
 
 impl Engine {
-    /// Executes a query through the retained straight-line reference
-    /// evaluator instead of the batched pipeline.  Exposed (hidden) for
-    /// the differential test suites; production paths always use the
+    /// Executes a query through the fault-free reference evaluator
+    /// instead of the batched pipeline.  Exposed (hidden) for the
+    /// differential test suites; production paths always use the
     /// pipeline.
     ///
     /// # Errors
     ///
     /// Exactly the errors [`Engine::execute`] would report for the same
-    /// query — that equivalence is the point.
+    /// query when no `SELECT`-operator fault is enabled — that
+    /// equivalence is the point.
     #[doc(hidden)]
     pub fn execute_query_reference(&self, q: &Query) -> EngineResult<QueryResult> {
         self.exec_query_reference(q)
@@ -130,56 +132,26 @@ impl Engine {
         let schema = table.schema.clone();
         let mut rows: Vec<Vec<Value>> = table.rows().map(|r| r.values).collect();
 
-        // SQLite WITHOUT ROWID tables are physically the primary-key index;
-        // the injected NOCASE dedup fault hides case-differing keys
-        // (Listing 4).
-        if schema.without_rowid
-            && self.bugs().is_enabled(BugId::SqliteNoCaseWithoutRowidDedup)
-            && self.table_has_nocase(&schema.name)
-        {
-            if let Some(pk_col) = schema.primary_key.first() {
-                if let Some(pk_idx) = schema.column_index(pk_col) {
-                    let mut seen: Vec<String> = Vec::new();
-                    rows.retain(|r| match &r[pk_idx] {
-                        Value::Text(t) => {
-                            let key = t.to_ascii_lowercase();
-                            if seen.contains(&key) {
-                                false
-                            } else {
-                                seen.push(key);
-                                true
-                            }
-                        }
-                        _ => true,
-                    });
-                }
-            }
-        }
-
         // PostgreSQL table inheritance: scanning the parent includes child
         // rows projected onto the parent's columns.
         let children = self.db.children_of(name);
         if !children.is_empty() && self.dialect() == crate::dialect::Dialect::Postgres {
             self.cover("exec.inheritance_expansion");
-            let skip_children = self.bugs().is_enabled(BugId::PostgresSerialNotNullBypass)
-                && schema.columns.iter().any(|c| c.type_name == Some(TypeName::Serial));
-            if !skip_children {
-                for child in children {
-                    let child_table = self.db.require_table(&child)?;
-                    let child_schema = child_table.schema.clone();
-                    for row in child_table.rows() {
-                        let projected: Vec<Value> = schema
-                            .columns
-                            .iter()
-                            .map(|pc| {
-                                child_schema
-                                    .column_index(&pc.name)
-                                    .map(|ci| row.values[ci].clone())
-                                    .unwrap_or(Value::Null)
-                            })
-                            .collect();
-                        rows.push(projected);
-                    }
+            for child in children {
+                let child_table = self.db.require_table(&child)?;
+                let child_schema = child_table.schema.clone();
+                for row in child_table.rows() {
+                    let projected: Vec<Value> = schema
+                        .columns
+                        .iter()
+                        .map(|pc| {
+                            child_schema
+                                .column_index(&pc.name)
+                                .map(|ci| row.values[ci].clone())
+                                .unwrap_or(Value::Null)
+                        })
+                        .collect();
+                    rows.push(projected);
                 }
             }
         }
@@ -198,20 +170,6 @@ impl Engine {
         let mut sources: Vec<SourceData> = Vec::new();
         for name in &s.from {
             sources.push(self.load_source_reference(name)?);
-        }
-        let multi_table = s.from.len() + s.joins.len() > 1;
-        // Injected fault: joins with MEMORY-engine tables drop rows whose
-        // key needs an implicit cast (negative integers) — Listing 11.
-        if multi_table
-            && s.where_clause.is_some()
-            && self.bugs().is_enabled(BugId::MysqlMemoryEngineJoinMiss)
-        {
-            for src in &mut sources {
-                if src.memory_engine {
-                    src.rows
-                        .retain(|r| !r.iter().any(|v| matches!(v, Value::Integer(i) if *i < 0)));
-                }
-            }
         }
 
         let mut schema = RowSchema::default();
@@ -287,31 +245,6 @@ impl Engine {
             rows = next;
         }
 
-        // Injected fault: a partial index whose predicate is `col NOT NULL`
-        // is (incorrectly) used for `col IS NOT <literal>` conditions,
-        // dropping NULL pivot rows (Listing 1).
-        if self.bugs().is_enabled(BugId::SqlitePartialIndexImpliesNotNull) && s.from.len() == 1 {
-            if let Some(w) = &s.where_clause {
-                if let Some(col) = find_is_not_literal_column(w) {
-                    let table = &s.from[0];
-                    let has_partial = self.db.indexes_on(table).iter().any(|i| {
-                        i.def.where_clause.as_ref().is_some_and(|p| {
-                            matches!(p, Expr::IsNull { negated: true, expr }
-                                if expr_references_column(expr, &col))
-                        })
-                    });
-                    if has_partial {
-                        self.cover("exec.partial_index");
-                        if let Some((ci, _)) =
-                            schema.resolve(&lancer_sql::ast::expr::ColumnRef::unqualified(&col))
-                        {
-                            rows.retain(|r| !r[ci].is_null());
-                        }
-                    }
-                }
-            }
-        }
-
         // Index fast path for single-table equality predicates.
         if s.from.len() == 1 && s.joins.is_empty() {
             if let Some(w) = &s.where_clause {
@@ -325,55 +258,14 @@ impl Engine {
         // WHERE filter.
         if let Some(w) = &s.where_clause {
             self.cover("exec.where_filter");
-            let mut where_clause = w.clone();
-            // Injected fault: the LIKE optimisation on INTEGER-affinity
-            // NOCASE columns rejects exact matches (Listing 7).
-            if self.bugs().is_enabled(BugId::SqliteLikeIntAffinityOptimisation) {
-                where_clause = rewrite_like_int_affinity(&where_clause, &schema);
-            }
             let ev = self.evaluator();
-            let tail_fault = self.bugs().is_enabled(BugId::DuckdbSelectionBitmapTailOffByOne);
-            let input_len = rows.len();
             let mut kept = Vec::new();
-            let mut kept_idx: Vec<usize> = Vec::new();
-            for (i, r) in rows.into_iter().enumerate() {
-                if ev.eval_predicate(&where_clause, &schema, &r)?.is_true() {
-                    if tail_fault {
-                        kept_idx.push(i);
-                    }
+            for r in rows {
+                if ev.eval_predicate(w, &schema, &r)?.is_true() {
                     kept.push(r);
                 }
             }
-            // Injected fault: the selection bitmap mishandles the partial
-            // tail lane group (DuckDB lane-width fault) — identical to the
-            // pipeline's filter.
-            if tail_fault {
-                if let Some(victim) = selection_tail_victim(&kept_idx, input_len) {
-                    kept.remove(victim);
-                }
-            }
             rows = kept;
-        }
-
-        // Poisoned projection after RENAME COLUMN + double-quoted index
-        // expression (Listing 8).
-        if s.from.len() == 1 {
-            let table = &s.from[0];
-            let poisons: Vec<(String, String)> = self
-                .poisoned_columns
-                .iter()
-                .filter(|(t, _, _)| t.eq_ignore_ascii_case(table))
-                .map(|(_, new, old)| (new.clone(), old.clone()))
-                .collect();
-            for (new_name, old_name) in poisons {
-                if let Some((ci, _)) =
-                    schema.resolve(&lancer_sql::ast::expr::ColumnRef::unqualified(&new_name))
-                {
-                    for r in &mut rows {
-                        r[ci] = Value::Text(old_name.to_ascii_uppercase());
-                    }
-                }
-            }
         }
 
         // Aggregation or plain projection.
@@ -384,7 +276,7 @@ impl Engine {
                 SelectItem::Wildcard => false,
             });
         let (columns, mut projected) = if !s.group_by.is_empty() || has_aggregate {
-            self.project_aggregate_reference(s, &schema, &rows)?
+            self.project_aggregate_reference(s, &schema, rows)?
         } else {
             self.project_plain_reference(s, &schema, &rows)?
         };
@@ -392,7 +284,13 @@ impl Engine {
         // DISTINCT.
         if s.distinct {
             self.cover("exec.distinct");
-            projected = self.apply_distinct_reference(s, projected)?;
+            let mut out: Vec<Vec<Value>> = Vec::new();
+            for row in projected {
+                if !contains(&out, &row) {
+                    out.push(row);
+                }
+            }
+            projected = out;
         }
 
         // ORDER BY.
@@ -442,8 +340,9 @@ impl Engine {
             return Ok(rows);
         }
         let Some(t) = self.db.table(table) else { return Ok(rows) };
-        let table_schema = t.schema.clone();
-        let Some(col_meta) = table_schema.column(col).cloned() else { return Ok(rows) };
+        if t.schema.column(col).is_none() {
+            return Ok(rows);
+        }
         // Find a usable (non-partial) index whose first key is the column.
         let index_name = self
             .db
@@ -456,42 +355,19 @@ impl Engine {
             .map(|i| i.def.name.clone());
         let Some(index_name) = index_name else { return Ok(rows) };
         self.cover("exec.index_lookup");
-        let mut probe = lit.clone();
-        if self.bugs().is_enabled(BugId::SqliteRowidAliasInsertMismatch)
-            && col_meta.primary_key
-            && col_meta.type_name == Some(TypeName::Integer)
-        {
-            probe = Value::Integer(probe.to_integer_lenient().unwrap_or(0));
-        }
-        let binary_probe = self.bugs().is_enabled(BugId::SqliteCollateIndexBinaryKeys);
         let index = self.db.index(&index_name).expect("index just resolved");
-        let matching: Vec<u64> = if binary_probe {
-            index
-                .entries()
-                .iter()
-                .filter(|e| {
-                    e.key.first().is_some_and(|k| {
-                        k.total_cmp(&probe, Collation::Binary) == std::cmp::Ordering::Equal
-                    })
+        let coll = index.def.collations.first().copied().unwrap_or_default();
+        let matching: Vec<u64> = index
+            .entries()
+            .iter()
+            .filter(|e| {
+                e.key.first().is_some_and(|k| match (k, lit) {
+                    (Value::Text(a), Value::Text(b)) => coll.equal(a, b),
+                    _ => k.same_as(lit),
                 })
-                .map(|e| e.row_id)
-                .collect()
-        } else {
-            index
-                .entries()
-                .iter()
-                .filter(|e| {
-                    e.key.first().is_some_and(|k| {
-                        let coll = index.def.collations.first().copied().unwrap_or_default();
-                        match (k, &probe) {
-                            (Value::Text(a), Value::Text(b)) => coll.equal(a, b),
-                            _ => k.same_as(&probe),
-                        }
-                    })
-                })
-                .map(|e| e.row_id)
-                .collect()
-        };
+            })
+            .map(|e| e.row_id)
+            .collect();
         let t = self.db.require_table(table)?;
         let mut out = Vec::new();
         for rid in matching {
@@ -543,51 +419,22 @@ impl Engine {
         &self,
         s: &Select,
         schema: &RowSchema,
-        rows: &[Vec<Value>],
+        rows: Vec<Vec<Value>>,
     ) -> EngineResult<(Vec<String>, Vec<Vec<Value>>)> {
         self.cover("exec.group_by");
         let ev = self.evaluator();
         // Build groups.
         let mut group_keys: Vec<Vec<Value>> = Vec::new();
         let mut groups: Vec<Vec<Vec<Value>>> = Vec::new();
-        let mut input_rows: Vec<Vec<Value>> = rows.to_vec();
-
-        // Injected fault: GROUP BY over an inheritance parent merges child
-        // rows with parent rows that share the first grouping key
-        // (Listing 15).
-        if self.bugs().is_enabled(BugId::PostgresInheritanceGroupByMissingRow)
-            && !s.group_by.is_empty()
-            && s.from.len() == 1
-            && !self.db.children_of(&s.from[0]).is_empty()
-        {
-            let mut seen: Vec<Value> = Vec::new();
-            let mut filtered = Vec::new();
-            for r in input_rows {
-                let key = ev.eval(&s.group_by[0], schema, &r)?;
-                if seen.iter().any(|k| k.same_as(&key)) {
-                    continue;
-                }
-                seen.push(key);
-                filtered.push(r);
-            }
-            input_rows = filtered;
-        }
 
         if s.group_by.is_empty() {
             group_keys.push(Vec::new());
-            groups.push(input_rows);
+            groups.push(rows);
         } else {
-            let drop_null_groups = self.bugs().is_enabled(BugId::SqliteGroupByNoCaseDuplicates)
-                && s.group_by.iter().any(|g| ev.collation_of(g, schema) == Collation::NoCase);
-            for r in input_rows {
+            for r in rows {
                 let mut key = Vec::with_capacity(s.group_by.len());
                 for g in &s.group_by {
                     key.push(ev.eval(g, schema, &r)?);
-                }
-                // Injected fault: NULL-keyed groups are dropped when grouping
-                // on a NOCASE column (§4.4 COLLATE bugs).
-                if drop_null_groups && key.iter().any(Value::is_null) {
-                    continue;
                 }
                 match group_keys.iter().position(|k| {
                     k.len() == key.len() && k.iter().zip(key.iter()).all(|(a, b)| a.same_as(b))
@@ -659,47 +506,6 @@ impl Engine {
             out_rows.push(out_row);
         }
         Ok((columns, out_rows))
-    }
-
-    fn apply_distinct_reference(
-        &self,
-        s: &Select,
-        rows: Vec<Vec<Value>>,
-    ) -> EngineResult<Vec<Vec<Value>>> {
-        // Injected fault: the skip-scan optimisation applied to DISTINCT
-        // after ANALYZE dedupes on the first column only (Listing 6).
-        let skip_scan = self.bugs().is_enabled(BugId::SqliteSkipScanDistinct)
-            && s.from.len() == 1
-            && self.analyzed.contains(&s.from[0].to_ascii_lowercase())
-            && !self.db.indexes_on(&s.from[0]).is_empty();
-        // Injected fault: DISTINCT treats NULL as a duplicate of zero
-        // (§4.4 type flexibility).
-        let null_zero = self.bugs().is_enabled(BugId::SqliteDistinctNegativeZero);
-        let mut out: Vec<Vec<Value>> = Vec::new();
-        for row in rows {
-            let duplicate = out.iter().any(|existing| {
-                if skip_scan {
-                    match (existing.first(), row.first()) {
-                        (Some(a), Some(b)) => a.same_as(b),
-                        _ => existing.is_empty() && row.is_empty(),
-                    }
-                } else if null_zero {
-                    existing.len() == row.len()
-                        && existing.iter().zip(row.iter()).all(|(a, b)| {
-                            a.same_as(b)
-                                || (a.same_as(&Value::Integer(0)) && b.is_null())
-                                || (a.is_null() && b.same_as(&Value::Integer(0)))
-                        })
-                } else {
-                    existing.len() == row.len()
-                        && existing.iter().zip(row.iter()).all(|(a, b)| a.same_as(b))
-                }
-            });
-            if !duplicate {
-                out.push(row);
-            }
-        }
-        Ok(out)
     }
 }
 

@@ -95,7 +95,7 @@ proptest! {
     /// The NoREC metamorphic property holds on fault-free engines, for
     /// every dialect, through both evaluators.
     #[test]
-    fn norec_property_holds_without_faults(seed in any::<u64>(), dialect_idx in 0usize..3) {
+    fn norec_property_holds_without_faults(seed in any::<u64>(), dialect_idx in 0usize..4) {
         let dialect = Dialect::ALL[dialect_idx];
         let violations = count_violations(seed, dialect, &norec_rewrite, 8)?;
         prop_assert_eq!(violations, 0, "NoREC false positive on a correct {:?} engine", dialect);

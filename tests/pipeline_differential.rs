@@ -1,25 +1,51 @@
 //! Differential property suite: the batched operator pipeline must be
-//! observationally identical to the retained straight-line reference
-//! evaluator (`lancer_engine::exec::reference`).
+//! observationally identical to the fault-free reference evaluator
+//! (`lancer_engine::exec::reference`) wherever no `SELECT`-operator fault
+//! fires.
 //!
 //! Random generated databases and random queries — probe shapes plus
 //! explicit joins, aggregates, HAVING and compound operators — run
 //! through both evaluators on the same engine.  The results must match
 //! *exactly*: identical rows in identical order (which subsumes the
 //! multiset requirement), identical column labels, and identical errors.
-//! The suite runs with every injected fault enabled as well as with none,
-//! so a pipeline refactor that moves a fault's firing point to different
-//! rows is caught at the first query that exposes it.
+//! The suite runs with no fault enabled, and with every fault except
+//! [`OPERATOR_FAULTS`]: states corrupted by DDL/DML faults and the hooks
+//! both evaluators share (expression evaluator, `SELECT` preflight,
+//! aggregate folds) must still agree.  Each operator fault hooks only in
+//! the pipeline, so it gets a pinned shape instead: the pipeline must
+//! return the faulted rows, and the reference the fault-free ones.  The
+//! shared SUM lane fault gets a pinned shape both must agree on.
 
 use lancer_core::gen::{random_expression, GenConfig, StateGenerator, VisibleColumn};
 use lancer_core::qpg::random_probe_query;
-use lancer_engine::{BugProfile, Dialect, Engine};
+use lancer_engine::{BugId, BugProfile, Dialect, Engine};
 use lancer_sql::ast::stmt::{CompoundOp, Join, JoinKind, Query, Statement};
 use lancer_sql::parser::parse_expression;
+use lancer_sql::value::Value;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+
+/// The `SELECT`-operator faults.  Each changes rows only in the pipeline
+/// stage where its real bug lived (Listing 8's RENAME hook just records
+/// the poisoned column that the projection applies); the reference
+/// evaluator has no copy.
+const OPERATOR_FAULTS: &[BugId] = &[
+    BugId::SqliteNoCaseWithoutRowidDedup,
+    BugId::PostgresSerialNotNullBypass,
+    BugId::MysqlMemoryEngineJoinMiss,
+    BugId::SqlitePartialIndexImpliesNotNull,
+    BugId::SqliteRowidAliasInsertMismatch,
+    BugId::SqliteCollateIndexBinaryKeys,
+    BugId::SqliteLikeIntAffinityOptimisation,
+    BugId::DuckdbSelectionBitmapTailOffByOne,
+    BugId::PostgresInheritanceGroupByMissingRow,
+    BugId::SqliteGroupByNoCaseDuplicates,
+    BugId::SqliteSkipScanDistinct,
+    BugId::SqliteDistinctNegativeZero,
+    BugId::SqliteDoubleQuotedStringIndex,
+];
 
 /// Columns of the tables a select draws from, for ON/HAVING generation.
 fn visible_columns(engine: &Engine, tables: &[String]) -> Vec<VisibleColumn> {
@@ -124,79 +150,194 @@ proptest! {
         check_differential(seed, dialect, BugProfile::none())?;
     }
 
-    /// Full fault profiles: every injected fault must fire at exactly the
-    /// same rows through the pipeline as through the reference evaluator.
+    /// Every fault but the operator faults: faulted DDL/DML leave the same
+    /// state to both evaluators, and the shared hooks fire identically.
     #[test]
-    fn pipeline_matches_reference_with_all_faults(seed in any::<u64>(), dialect_idx in 0usize..4) {
+    fn pipeline_matches_reference_without_operator_faults(
+        seed in any::<u64>(),
+        dialect_idx in 0usize..4,
+    ) {
         let dialect = Dialect::ALL[dialect_idx];
-        check_differential(seed, dialect, BugProfile::all_for(dialect))?;
+        let mut profile = BugProfile::all_for(dialect);
+        for &fault in OPERATOR_FAULTS {
+            profile.disable(fault);
+        }
+        check_differential(seed, dialect, profile)?;
     }
 }
 
-/// The paper's listing shapes, pinned explicitly (the random suite above
-/// reaches them only probabilistically).
-#[test]
-fn listing_shapes_agree_between_evaluators() {
-    use lancer_engine::BugId;
-    let cases: &[(Dialect, &[BugId], &str, &str)] = &[
-        (
-            Dialect::Sqlite,
-            &[BugId::SqlitePartialIndexImpliesNotNull],
-            "CREATE TABLE t0(c0);
-             CREATE INDEX i0 ON t0(1) WHERE c0 NOT NULL;
-             INSERT INTO t0(c0) VALUES (0), (1), (NULL);",
-            "SELECT c0 FROM t0 WHERE t0.c0 IS NOT 1",
-        ),
-        (
-            Dialect::Sqlite,
-            &[BugId::SqliteSkipScanDistinct],
-            "CREATE TABLE t1(c1, c2, c3, c4, PRIMARY KEY (c4, c3));
-             INSERT INTO t1(c3, c4) VALUES (0, 1), (1, 2), (0, 3);
-             ANALYZE t1;",
-            "SELECT DISTINCT c3, c4 FROM t1",
-        ),
-        (
-            Dialect::Mysql,
-            &[BugId::MysqlMemoryEngineJoinMiss],
-            "CREATE TABLE t0(c0 INT);
-             CREATE TABLE t1(c0 INT) ENGINE = MEMORY;
-             INSERT INTO t0(c0) VALUES (0);
-             INSERT INTO t1(c0) VALUES (-1);",
-            "SELECT * FROM t0, t1 WHERE (CAST(t1.c0 AS UNSIGNED)) > (IFNULL('u', t0.c0))",
-        ),
-        (
-            Dialect::Duckdb,
-            &[BugId::DuckdbSelectionBitmapTailOffByOne],
-            "CREATE TABLE t0(c0 INTEGER);
-             INSERT INTO t0(c0) VALUES (1), (2), (3), (4), (5), (6), (7), (8), (9);",
-            "SELECT c0 FROM t0 WHERE c0 >= 1",
-        ),
-        (
-            Dialect::Duckdb,
-            &[BugId::DuckdbSumLaneWideningSkipsTail],
-            "CREATE TABLE t0(c0 INTEGER);
-             INSERT INTO t0(c0) VALUES (1), (2), (3), (4), (5), (6), (7), (8), (9), (10);",
-            "SELECT SUM(c0) FROM t0",
-        ),
-        (
-            Dialect::Postgres,
-            &[BugId::PostgresInheritanceGroupByMissingRow],
-            "CREATE TABLE t0(c0 INT PRIMARY KEY, c1 INT);
-             CREATE TABLE t1(c0 INT, c1 INT) INHERITS (t0);
-             INSERT INTO t0(c0, c1) VALUES (0, 0);
-             INSERT INTO t1(c0, c1) VALUES (0, 1);",
-            "SELECT c0, c1 FROM t0 GROUP BY c0, c1",
-        ),
-    ];
-    for (dialect, bugs, setup, query) in cases {
-        let mut engine = Engine::with_bugs(*dialect, BugProfile::with(bugs));
-        engine.execute_script(setup).unwrap();
-        let q = match lancer_sql::parse_statement(query).unwrap() {
-            Statement::Select(q) => q,
-            other => panic!("not a query: {other:?}"),
-        };
-        let pipeline = engine.execute(&Statement::Select(q.clone()));
-        let reference = engine.execute_query_reference(&q);
-        assert_eq!(pipeline, reference, "diverged for {dialect:?} on {query}");
+/// A query an operator fault changes, and the rows the faulted pipeline
+/// returns for it.
+struct FaultShape {
+    fault: BugId,
+    setup: &'static str,
+    query: &'static str,
+    faulted: Vec<Vec<Value>>,
+}
+
+fn int(i: i64) -> Value {
+    Value::Integer(i)
+}
+
+fn text(t: &str) -> Value {
+    Value::Text(t.to_owned())
+}
+
+/// One firing shape per operator fault, in `OPERATOR_FAULTS` order (most
+/// are the paper's listings).
+fn operator_fault_shapes() -> Vec<FaultShape> {
+    vec![
+        FaultShape {
+            fault: BugId::SqliteNoCaseWithoutRowidDedup,
+            setup: "CREATE TABLE t0(c0 TEXT PRIMARY KEY) WITHOUT ROWID;
+                    CREATE INDEX i0 ON t0(c0 COLLATE NOCASE);
+                    INSERT INTO t0(c0) VALUES ('A');
+                    INSERT INTO t0(c0) VALUES ('a');",
+            query: "SELECT * FROM t0",
+            faulted: vec![vec![text("A")]],
+        },
+        FaultShape {
+            fault: BugId::PostgresSerialNotNullBypass,
+            setup: "CREATE TABLE t0(c0 SERIAL, c1 INT);
+                    CREATE TABLE t1(c0 SERIAL, c1 INT) INHERITS (t0);
+                    INSERT INTO t0(c1) VALUES (1);
+                    INSERT INTO t1(c1) VALUES (2);",
+            query: "SELECT c1 FROM t0",
+            faulted: vec![vec![int(1)]],
+        },
+        FaultShape {
+            fault: BugId::MysqlMemoryEngineJoinMiss,
+            setup: "CREATE TABLE t0(c0 INT);
+                    CREATE TABLE t1(c0 INT) ENGINE = MEMORY;
+                    INSERT INTO t0(c0) VALUES (0);
+                    INSERT INTO t1(c0) VALUES (-1);",
+            query: "SELECT * FROM t0, t1 WHERE t1.c0 < 0",
+            faulted: vec![],
+        },
+        FaultShape {
+            fault: BugId::SqlitePartialIndexImpliesNotNull,
+            setup: "CREATE TABLE t0(c0);
+                    CREATE INDEX i0 ON t0(1) WHERE c0 NOT NULL;
+                    INSERT INTO t0(c0) VALUES (0), (1), (NULL);",
+            query: "SELECT c0 FROM t0 WHERE t0.c0 IS NOT 1",
+            faulted: vec![vec![int(0)]],
+        },
+        FaultShape {
+            fault: BugId::SqliteRowidAliasInsertMismatch,
+            setup: "CREATE TABLE t0(c0 INTEGER PRIMARY KEY);
+                    INSERT INTO t0(c0) VALUES ('a');",
+            query: "SELECT c0 FROM t0 WHERE c0 = 'a'",
+            faulted: vec![],
+        },
+        FaultShape {
+            fault: BugId::SqliteCollateIndexBinaryKeys,
+            setup: "CREATE TABLE t0(c0 TEXT COLLATE NOCASE);
+                    CREATE INDEX i0 ON t0(c0);
+                    INSERT INTO t0(c0) VALUES ('a'), ('A');",
+            query: "SELECT c0 FROM t0 WHERE c0 = 'a'",
+            faulted: vec![vec![text("a")]],
+        },
+        FaultShape {
+            fault: BugId::SqliteLikeIntAffinityOptimisation,
+            setup: "CREATE TABLE t0(c0 INT UNIQUE COLLATE NOCASE);
+                    INSERT INTO t0(c0) VALUES ('./');",
+            query: "SELECT * FROM t0 WHERE t0.c0 LIKE './'",
+            faulted: vec![],
+        },
+        FaultShape {
+            fault: BugId::DuckdbSelectionBitmapTailOffByOne,
+            setup: "CREATE TABLE t0(c0 INTEGER);
+                    INSERT INTO t0(c0) VALUES (1), (2), (3), (4), (5), (6), (7), (8), (9);",
+            query: "SELECT c0 FROM t0 WHERE c0 >= 1",
+            faulted: (1..=8).map(|i| vec![int(i)]).collect(),
+        },
+        FaultShape {
+            fault: BugId::PostgresInheritanceGroupByMissingRow,
+            setup: "CREATE TABLE t0(c0 INT PRIMARY KEY, c1 INT);
+                    CREATE TABLE t1(c0 INT, c1 INT) INHERITS (t0);
+                    INSERT INTO t0(c0, c1) VALUES (0, 0);
+                    INSERT INTO t1(c0, c1) VALUES (0, 1);",
+            query: "SELECT c0, c1 FROM t0 GROUP BY c0, c1",
+            faulted: vec![vec![int(0), int(0)]],
+        },
+        FaultShape {
+            fault: BugId::SqliteGroupByNoCaseDuplicates,
+            setup: "CREATE TABLE t0(c0 TEXT COLLATE NOCASE);
+                    INSERT INTO t0(c0) VALUES ('a'), (NULL);",
+            query: "SELECT c0 FROM t0 GROUP BY c0",
+            faulted: vec![vec![text("a")]],
+        },
+        FaultShape {
+            fault: BugId::SqliteSkipScanDistinct,
+            setup: "CREATE TABLE t1(c1, c2, c3, c4, PRIMARY KEY (c4, c3));
+                    INSERT INTO t1(c3, c4) VALUES (0, 1), (1, 2), (0, 3);
+                    ANALYZE t1;",
+            query: "SELECT DISTINCT c3, c4 FROM t1",
+            faulted: vec![vec![int(0), int(1)], vec![int(1), int(2)]],
+        },
+        FaultShape {
+            fault: BugId::SqliteDistinctNegativeZero,
+            setup: "CREATE TABLE t0(c0);
+                    INSERT INTO t0(c0) VALUES (0), (NULL);",
+            query: "SELECT DISTINCT c0 FROM t0",
+            faulted: vec![vec![int(0)]],
+        },
+        FaultShape {
+            fault: BugId::SqliteDoubleQuotedStringIndex,
+            setup: "CREATE TABLE t0(c0, c1);
+                    CREATE INDEX i0 ON t0(\"c0\");
+                    INSERT INTO t0(c0, c1) VALUES (1, 2);
+                    ALTER TABLE t0 RENAME COLUMN c0 TO c3;",
+            query: "SELECT c3 FROM t0",
+            faulted: vec![vec![text("C0")]],
+        },
+    ]
+}
+
+/// Runs `setup` on a fresh engine with `profile` and parses `query`.
+fn prepare(dialect: Dialect, profile: BugProfile, setup: &str, query: &str) -> (Engine, Query) {
+    let mut engine = Engine::with_bugs(dialect, profile);
+    engine.execute_script(setup).unwrap();
+    match lancer_sql::parse_statement(query).unwrap() {
+        Statement::Select(q) => (engine, q),
+        other => panic!("not a query: {other:?}"),
     }
+}
+
+/// Each operator fault fires at its pinned shape through the pipeline
+/// only: the pipeline returns the faulted rows, while the reference
+/// returns what the pipeline of a fault-free engine returns.
+#[test]
+fn operator_faults_fire_only_in_the_pipeline() {
+    let shapes = operator_fault_shapes();
+    let covered: Vec<BugId> = shapes.iter().map(|shape| shape.fault).collect();
+    assert_eq!(covered, OPERATOR_FAULTS, "every operator fault needs exactly one shape");
+    for shape in &shapes {
+        let (fault, dialect) = (shape.fault, shape.fault.info().dialect);
+        let (mut faulty, q) =
+            prepare(dialect, BugProfile::with(&[fault]), shape.setup, shape.query);
+        let pipeline = faulty.execute(&Statement::Select(q.clone())).unwrap().rows;
+        let reference = faulty.execute_query_reference(&q).unwrap().rows;
+        let (mut clean, _) = prepare(dialect, BugProfile::none(), shape.setup, shape.query);
+        let fault_free = clean.execute(&Statement::Select(q)).unwrap().rows;
+        assert_eq!(pipeline, shape.faulted, "{fault:?}: faulted rows of {}", shape.query);
+        assert_ne!(reference, shape.faulted, "{fault:?} does not fire on {}", shape.query);
+        assert_eq!(reference, fault_free, "{fault:?}: the reference is not fault-free");
+    }
+}
+
+/// The SUM lane fault hooks in `eval_aggregate_expr`, which both
+/// evaluators call, so both fold only the first lane block (36 of 55).
+#[test]
+fn shared_aggregate_fault_fires_through_both_evaluators() {
+    let (mut engine, q) = prepare(
+        Dialect::Duckdb,
+        BugProfile::with(&[BugId::DuckdbSumLaneWideningSkipsTail]),
+        "CREATE TABLE t0(c0 INTEGER);
+         INSERT INTO t0(c0) VALUES (1), (2), (3), (4), (5), (6), (7), (8), (9), (10);",
+        "SELECT SUM(c0) FROM t0",
+    );
+    let faulted = vec![vec![int(36)]];
+    assert_eq!(engine.execute(&Statement::Select(q.clone())).unwrap().rows, faulted);
+    assert_eq!(engine.execute_query_reference(&q).unwrap().rows, faulted);
 }
