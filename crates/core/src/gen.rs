@@ -868,7 +868,7 @@ mod tests {
                 let rows: Vec<Vec<Value>> = engine
                     .database()
                     .table(&name)
-                    .map(|t| t.rows().map(|r| r.values).collect())
+                    .map(|t| t.rows().map(|(_, r)| r.to_vec()).collect())
                     .unwrap_or_default();
                 (name, rows)
             })

@@ -54,13 +54,13 @@ impl ContainmentOracle {
         let mut pivot = PivotRow::default();
         for t in &tables {
             let table = engine.database().table(t)?;
-            let rows: Vec<_> = table.rows().collect();
+            let rows: Vec<&[Value]> = table.rows().map(|(_, r)| r).collect();
             let row = rows.choose(rng)?;
             for (i, col) in table.schema.columns.iter().enumerate() {
                 pivot.columns.push(PivotColumn {
                     table: t.clone(),
                     meta: col.clone(),
-                    value: row.values[i].clone(),
+                    value: row[i].clone(),
                 });
             }
         }

@@ -53,7 +53,7 @@ pub fn state_digest(engine: &Engine) -> StateDigest {
         let mut rows: Vec<String> = engine
             .database()
             .table(&name)
-            .map(|t| t.rows().map(|r| format!("{:?}", r.values)).collect())
+            .map(|t| t.rows().map(|(_, r)| format!("{r:?}")).collect())
             .unwrap_or_default();
         rows.sort();
         digest.insert(name, rows);

@@ -34,11 +34,30 @@ use crate::oracle::{BugWitness, Cadence, Oracle, OracleCtx, OracleReport, ReproS
 #[must_use]
 pub fn row_multiset(rows: &[Vec<Value>]) -> BTreeMap<String, u64> {
     let mut out = BTreeMap::new();
-    for row in rows {
-        let key = row.iter().map(Value::to_sql_literal).collect::<Vec<_>>().join("\u{1f}");
-        *out.entry(key).or_insert(0) += 1;
-    }
+    count_rows(rows, &mut out);
     out
+}
+
+/// Adds one occurrence per row to `counts`.  A row's key is its values'
+/// SQL literals joined by `\u{1f}`, built in one reused buffer; only a key
+/// seen for the first time is allocated.
+fn count_rows(rows: &[Vec<Value>], counts: &mut BTreeMap<String, u64>) {
+    let mut key = String::new();
+    for row in rows {
+        key.clear();
+        for (i, v) in row.iter().enumerate() {
+            if i > 0 {
+                key.push('\u{1f}');
+            }
+            v.write_sql_literal(&mut key);
+        }
+        match counts.get_mut(key.as_str()) {
+            Some(n) => *n += 1,
+            None => {
+                counts.insert(key.clone(), 1);
+            }
+        }
+    }
 }
 
 /// Executes the partition queries and accumulates their combined row
@@ -52,10 +71,7 @@ pub fn partition_union(
 ) -> Option<BTreeMap<String, u64>> {
     let mut union = BTreeMap::new();
     for p in partitions {
-        let result = engine.query_here(p).ok()?;
-        for (key, count) in row_multiset(&result.rows) {
-            *union.entry(key).or_insert(0) += count;
-        }
+        count_rows(&engine.query_here(p).ok()?.rows, &mut union);
     }
     Some(union)
 }
@@ -71,10 +87,7 @@ pub fn partition_union_at(
 ) -> Option<BTreeMap<String, u64>> {
     let mut union = BTreeMap::new();
     for (i, p) in partitions.iter().enumerate() {
-        let result = engine.query(first_ordinal + i as u64, p).ok()?;
-        for (key, count) in row_multiset(&result.rows) {
-            *union.entry(key).or_insert(0) += count;
-        }
+        count_rows(&engine.query(first_ordinal + i as u64, p).ok()?.rows, &mut union);
     }
     Some(union)
 }
@@ -279,5 +292,42 @@ mod tests {
         let ms = row_multiset(&rows);
         assert_eq!(ms.len(), 3, "-0.0 and 0.0 are distinct physical rows: {ms:?}");
         assert_eq!(ms.values().sum::<u64>(), 4);
+    }
+
+    #[test]
+    fn row_multiset_keys_are_the_joined_sql_literals() {
+        // Each value with the literal `to_sql_literal` has always rendered
+        // it as; a row's key is those literals joined by U+001F.
+        let pinned: Vec<(Value, &str)> = vec![
+            (Value::Integer(i64::MIN), "(-9223372036854775807 - 1)"),
+            (Value::Integer(1 << 60), "1152921504606846976"),
+            (Value::Real(f64::NAN), "(0.0 / 0.0)"),
+            (Value::Real(f64::INFINITY), "(1e308 * 10)"),
+            (Value::Real(f64::NEG_INFINITY), "(-1e308 * 10)"),
+            (Value::Real(-0.0), "-0.0"),
+            (Value::Real(3.0), "3.0"),
+            (Value::Real(0.5), "0.5"),
+            (Value::Real(1e15), "1000000000000000"),
+            (Value::Real(2f64.powi(60)), "1152921504606847000"),
+            (Value::Text("it's\u{1f}'".into()), "'it''s\u{1f}'''"),
+            (Value::Text(String::new()), "''"),
+            (Value::Blob(vec![0x00, 0xab, 0xff]), "x'00ABFF'"),
+            (Value::Blob(Vec::new()), "x''"),
+            (Value::Boolean(true), "TRUE"),
+            (Value::Boolean(false), "FALSE"),
+            (Value::Null, "NULL"),
+        ];
+        for (value, literal) in &pinned {
+            assert_eq!(value.to_sql_literal(), *literal);
+        }
+        let row: Vec<Value> = pinned.iter().map(|(v, _)| v.clone()).collect();
+        let key: Vec<&str> = pinned.iter().map(|(_, l)| *l).collect();
+        let mut rows: Vec<Vec<Value>> = pinned.iter().map(|(v, _)| vec![v.clone()]).collect();
+        rows.extend([row.clone(), row, Vec::new()]);
+        let mut expected: BTreeMap<String, u64> =
+            pinned.iter().map(|(_, l)| ((*l).to_owned(), 1)).collect();
+        expected.insert(key.join("\u{1f}"), 2);
+        expected.insert(String::new(), 1);
+        assert_eq!(row_multiset(&rows), expected);
     }
 }

@@ -84,6 +84,26 @@ impl RowSchema {
     }
 }
 
+/// Read access to one (joined) row: the only way the evaluator reads row
+/// values, so a row can be evaluated where it is stored instead of being
+/// copied into a `Vec` first.
+pub trait RowView {
+    /// The value at flat column index `i`, or `None` past the row's end.
+    fn value(&self, i: usize) -> Option<&Value>;
+}
+
+impl RowView for [Value] {
+    fn value(&self, i: usize) -> Option<&Value> {
+        self.get(i)
+    }
+}
+
+impl<T: RowView + ?Sized> RowView for &T {
+    fn value(&self, i: usize) -> Option<&Value> {
+        (**self).value(i)
+    }
+}
+
 /// Dialect-aware expression evaluator over a single (joined) row.
 #[derive(Debug, Clone)]
 pub struct Evaluator<'a> {
@@ -109,7 +129,12 @@ impl<'a> Evaluator<'a> {
     /// Returns an error for unknown columns (non-SQLite dialects), strict-
     /// typing violations (PostgreSQL), division by zero (PostgreSQL) and
     /// aggregates outside aggregate context.
-    pub fn eval(&self, expr: &Expr, schema: &RowSchema, row: &[Value]) -> EngineResult<Value> {
+    pub fn eval<R: RowView + ?Sized>(
+        &self,
+        expr: &Expr,
+        schema: &RowSchema,
+        row: &R,
+    ) -> EngineResult<Value> {
         match expr {
             Expr::Literal(v) => Ok(v.clone()),
             Expr::Column(c) => self.eval_column(c, schema, row),
@@ -205,11 +230,11 @@ impl<'a> Evaluator<'a> {
     ///
     /// In the PostgreSQL-like dialect, non-boolean predicate results are a
     /// type error; the other dialects convert implicitly.
-    pub fn eval_predicate(
+    pub fn eval_predicate<R: RowView + ?Sized>(
         &self,
         expr: &Expr,
         schema: &RowSchema,
-        row: &[Value],
+        row: &R,
     ) -> EngineResult<TriBool> {
         let v = self.eval(expr, schema, row)?;
         self.value_to_tribool(&v)
@@ -246,7 +271,12 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn truthiness(&self, expr: &Expr, schema: &RowSchema, row: &[Value]) -> EngineResult<TriBool> {
+    fn truthiness<R: RowView + ?Sized>(
+        &self,
+        expr: &Expr,
+        schema: &RowSchema,
+        row: &R,
+    ) -> EngineResult<TriBool> {
         let v = self.eval(expr, schema, row)?;
         self.value_to_tribool(&v)
     }
@@ -259,9 +289,14 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_column(&self, c: &ColumnRef, schema: &RowSchema, row: &[Value]) -> EngineResult<Value> {
+    fn eval_column<R: RowView + ?Sized>(
+        &self,
+        c: &ColumnRef,
+        schema: &RowSchema,
+        row: &R,
+    ) -> EngineResult<Value> {
         match schema.resolve(c) {
-            Some((i, _)) => Ok(row.get(i).cloned().unwrap_or(Value::Null)),
+            Some((i, _)) => Ok(row.value(i).cloned().unwrap_or(Value::Null)),
             None => {
                 if self.dialect == Dialect::Sqlite && c.table.is_none() {
                     // SQLite's double-quoted-string fallback (Listing 8).
@@ -273,12 +308,12 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_unary(
+    fn eval_unary<R: RowView + ?Sized>(
         &self,
         op: UnaryOp,
         expr: &Expr,
         schema: &RowSchema,
-        row: &[Value],
+        row: &R,
     ) -> EngineResult<Value> {
         match op {
             UnaryOp::Not => {
@@ -317,13 +352,13 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_binary(
+    fn eval_binary<R: RowView + ?Sized>(
         &self,
         op: BinaryOp,
         left: &Expr,
         right: &Expr,
         schema: &RowSchema,
-        row: &[Value],
+        row: &R,
     ) -> EngineResult<Value> {
         match op {
             BinaryOp::And => {
@@ -477,13 +512,13 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_arithmetic(
+    fn eval_arithmetic<R: RowView + ?Sized>(
         &self,
         op: BinaryOp,
         left: &Expr,
         right: &Expr,
         schema: &RowSchema,
-        row: &[Value],
+        row: &R,
     ) -> EngineResult<Value> {
         let lv = self.eval(left, schema, row)?;
         let rv = self.eval(right, schema, row)?;
@@ -589,13 +624,13 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_like(
+    fn eval_like<R: RowView + ?Sized>(
         &self,
         negated: bool,
         expr: &Expr,
         pattern: &Expr,
         schema: &RowSchema,
-        row: &[Value],
+        row: &R,
     ) -> EngineResult<Value> {
         let v = self.eval(expr, schema, row)?;
         let p = self.eval(pattern, schema, row)?;
@@ -626,12 +661,12 @@ impl<'a> Evaluator<'a> {
         Ok(self.tribool_value(t))
     }
 
-    fn eval_function(
+    fn eval_function<R: RowView + ?Sized>(
         &self,
         func: ScalarFunc,
         args: &[Expr],
         schema: &RowSchema,
-        row: &[Value],
+        row: &R,
     ) -> EngineResult<Value> {
         let vals: Vec<Value> =
             args.iter().map(|a| self.eval(a, schema, row)).collect::<EngineResult<_>>()?;
@@ -1138,11 +1173,13 @@ mod tests {
     use super::*;
     use lancer_sql::parser::parse_expression;
 
+    const NO_ROW: &[Value] = &[];
+
     fn eval_const(dialect: Dialect, sql: &str) -> EngineResult<Value> {
         let bugs = BugProfile::none();
         let ev = Evaluator::new(dialect, &bugs);
         let e = parse_expression(sql).unwrap();
-        ev.eval(&e, &RowSchema::empty(), &[])
+        ev.eval(&e, &RowSchema::empty(), NO_ROW)
     }
 
     #[test]
@@ -1315,12 +1352,12 @@ mod tests {
         let bugs = BugProfile::none();
         let ev = Evaluator::new(Dialect::Postgres, &bugs);
         let e = parse_expression("1 + 1").unwrap();
-        assert!(ev.eval_predicate(&e, &RowSchema::empty(), &[]).is_err());
+        assert!(ev.eval_predicate(&e, &RowSchema::empty(), NO_ROW).is_err());
         let e = parse_expression("1 < 2").unwrap();
-        assert_eq!(ev.eval_predicate(&e, &RowSchema::empty(), &[]).unwrap(), TriBool::True);
+        assert_eq!(ev.eval_predicate(&e, &RowSchema::empty(), NO_ROW).unwrap(), TriBool::True);
         let lenient = Evaluator::new(Dialect::Sqlite, &bugs);
         let e = parse_expression("2").unwrap();
-        assert_eq!(lenient.eval_predicate(&e, &RowSchema::empty(), &[]).unwrap(), TriBool::True);
+        assert_eq!(lenient.eval_predicate(&e, &RowSchema::empty(), NO_ROW).unwrap(), TriBool::True);
     }
 
     #[test]
@@ -1361,26 +1398,26 @@ mod tests {
         let bugs = BugProfile::with(&[BugId::SqliteTextMinusIntegerPrecision]);
         let ev = Evaluator::new(Dialect::Sqlite, &bugs);
         let e = parse_expression("'' - 2851427734582196970").unwrap();
-        let buggy = ev.eval(&e, &RowSchema::empty(), &[]).unwrap();
+        let buggy = ev.eval(&e, &RowSchema::empty(), NO_ROW).unwrap();
         assert_ne!(buggy, Value::Integer(-2851427734582196970));
 
         // Unsigned cast keeps the negative value (Listing 11).
         let bugs = BugProfile::with(&[BugId::MysqlUnsignedCastNegativeCompare]);
         let ev = Evaluator::new(Dialect::Mysql, &bugs);
         let e = parse_expression("CAST(-1 AS UNSIGNED)").unwrap();
-        assert_eq!(ev.eval(&e, &RowSchema::empty(), &[]).unwrap(), Value::Integer(-1));
+        assert_eq!(ev.eval(&e, &RowSchema::empty(), NO_ROW).unwrap(), Value::Integer(-1));
 
         // Double negation folded (Listing 13).
         let bugs = BugProfile::with(&[BugId::MysqlDoubleNegationFolded]);
         let ev = Evaluator::new(Dialect::Mysql, &bugs);
         let e = parse_expression("NOT (NOT 123)").unwrap();
-        assert_eq!(ev.eval(&e, &RowSchema::empty(), &[]).unwrap(), Value::Integer(123));
+        assert_eq!(ev.eval(&e, &RowSchema::empty(), NO_ROW).unwrap(), Value::Integer(123));
 
         // LIKE escape crash.
         let bugs = BugProfile::with(&[BugId::SqliteLikeEscapeCrash]);
         let ev = Evaluator::new(Dialect::Sqlite, &bugs);
         let e = parse_expression("'abc' LIKE 'a\\'").unwrap();
-        let err = ev.eval(&e, &RowSchema::empty(), &[]).unwrap_err();
+        let err = ev.eval(&e, &RowSchema::empty(), NO_ROW).unwrap_err();
         assert!(err.is_crash());
     }
 

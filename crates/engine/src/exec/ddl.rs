@@ -150,9 +150,9 @@ impl Engine {
         let table = self.db.require_table(&def.table)?;
         let schema = table.schema.clone();
         let mut index = Index::new(def);
-        for row in table.rows() {
-            if let Some(key) = self.index_key_for_row(&index.def, &schema, &row.values)? {
-                index.insert(key, row.id)?;
+        for (id, row) in table.rows() {
+            if let Some(key) = self.index_key_for_row(&index.def, &schema, row)? {
+                index.insert(key, id)?;
             }
         }
         Ok(index)

@@ -165,7 +165,7 @@ impl Engine {
             let ev = self.evaluator();
             let mut supplied = Vec::with_capacity(row_exprs.len());
             for e in row_exprs {
-                supplied.push(ev.eval(e, &ev_schema, &[])?);
+                supplied.push(ev.eval::<[Value]>(e, &ev_schema, &[])?);
             }
             // Assemble the full row with defaults / serial values.
             let mut values: Vec<Value> = Vec::with_capacity(schema.columns.len());
@@ -251,13 +251,13 @@ impl Engine {
             let ev = self.evaluator();
             let table = self.db.require_table(&upd.table)?;
             let mut matching = Vec::new();
-            for row in table.rows() {
+            for (id, row) in table.rows() {
                 let keep = match &upd.where_clause {
-                    Some(w) => ev.eval_predicate(w, &row_schema, &row.values)?.is_true(),
+                    Some(w) => ev.eval_predicate(w, &row_schema, row)?.is_true(),
                     None => true,
                 };
                 if keep {
-                    matching.push((row.id, row.values));
+                    matching.push((id, row.to_vec()));
                 }
             }
             matching
@@ -273,7 +273,7 @@ impl Engine {
             {
                 let ev = self.evaluator();
                 for (idx, expr) in &targets {
-                    let v = ev.eval(expr, &row_schema, &old_values)?;
+                    let v = ev.eval(expr, &row_schema, old_values.as_slice())?;
                     new_values[*idx] = self.apply_affinity(v, &schema.columns[*idx])?;
                 }
             }
@@ -355,13 +355,13 @@ impl Engine {
             let ev = self.evaluator();
             let table = self.db.require_table(&del.table)?;
             let mut ids = Vec::new();
-            for row in table.rows() {
+            for (id, row) in table.rows() {
                 let matches = match &del.where_clause {
-                    Some(w) => ev.eval_predicate(w, &row_schema, &row.values)?.is_true(),
+                    Some(w) => ev.eval_predicate(w, &row_schema, row)?.is_true(),
                     None => true,
                 };
                 if matches {
-                    ids.push(row.id);
+                    ids.push(id);
                 }
             }
             ids

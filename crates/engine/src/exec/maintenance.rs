@@ -94,8 +94,8 @@ impl Engine {
                 continue;
             }
             let Some(table) = self.db.table(&idx.def.table) else { continue };
-            let has_large = table.rows().any(|r| {
-                r.values.iter().any(|v| matches!(v, Value::Integer(i) if i.abs() > (1_i64 << 62)))
+            let has_large = table.rows().any(|(_, r)| {
+                r.iter().any(|v| matches!(v, Value::Integer(i) if i.abs() > (1_i64 << 62)))
             });
             if has_large {
                 return Ok(true);
@@ -148,7 +148,7 @@ impl Engine {
             for table in self.db.table_names() {
                 let Some(t) = self.db.table(&table) else { continue };
                 for (ci, col) in t.schema.columns.iter().enumerate() {
-                    if col.not_null && t.rows().any(|r| r.values[ci].is_null()) {
+                    if col.not_null && t.rows().any(|(_, r)| r[ci].is_null()) {
                         return Err(EngineError::corruption(format!(
                             "malformed database schema ({table}.{}) - NOT NULL column holds NULL",
                             col.name
@@ -203,7 +203,7 @@ impl Engine {
         // (columnar extension).
         if self.bugs().is_enabled(BugId::DuckdbAnalyzeRowGroupChecksum) {
             for t in &targets {
-                let n = self.db.require_table(t)?.rows().count();
+                let n = self.db.require_table(t)?.row_count();
                 if n % crate::exec::query::COLUMNAR_LANE_WIDTH != 0 {
                     return Err(EngineError::corruption(format!(
                         "row group checksum mismatch in table \"{t}\": \

@@ -1,7 +1,7 @@
 //! Statement execution: the engine façade and dispatch.
 
 pub(crate) mod access;
-pub mod batch;
+pub(crate) mod batch;
 mod ddl;
 mod dml;
 mod maintenance;

@@ -1,14 +1,22 @@
-//! The batched `SELECT` operator pipeline.
+//! The `SELECT` operator pipeline.
 //!
-//! `exec_select` used to be one monolithic function that threaded loose
-//! row vectors through nested per-row loops.  It is now assembled as a
-//! sequence of composable operators — [`Operator::Scan`],
-//! [`Operator::Join`], [`Operator::IndexProbe`], [`Operator::Filter`],
-//! [`Operator::Project`] / [`Operator::Aggregate`], [`Operator::Distinct`],
-//! [`Operator::Sort`], [`Operator::Limit`] — each consuming and producing
-//! a [`RowBatch`].  Batches move between stages by value (no per-stage
-//! copies), the schema is stored once per batch, and a `SELECT *`
-//! projection over unaliased sources is the identity on the batch.
+//! `exec_select` runs a sequence of composable operators —
+//! [`Operator::Scan`], [`Operator::Join`], [`Operator::IndexProbe`],
+//! [`Operator::Filter`], [`Operator::Project`] / [`Operator::Aggregate`],
+//! [`Operator::Distinct`], [`Operator::Sort`], [`Operator::Limit`] — each
+//! consuming and producing a [`RowBatch`] by value.
+//!
+//! **Late materialization.**  Up to projection a batch is a selection of
+//! source-row tuples over row lists that borrow each table's stored rows,
+//! so `Scan`, `Join`, `IndexProbe` and `Filter` move row indices and
+//! evaluate predicates on the tuples in place.  `Project` binds plain
+//! column items to flat indices once per query and copies only the values
+//! that land in an output row (a list of all columns in order copies each
+//! tuple whole); `Aggregate` groups tuples and folds them in place.  Those
+//! two are the only operators that copy values; `Distinct`, `Sort` and
+//! `Limit` rearrange the output rows.  Views, inheritance children, a
+//! `LEFT JOIN`'s pad row and the poisoned-column fault's rewritten rows
+//! own their rows (see `exec::batch`).
 //!
 //! **Determinism contract.**  The pipeline is a restructuring of the
 //! straight-line evaluator kept as `exec::reference`, the fault-free
@@ -21,26 +29,25 @@
 //! plan tree cannot drift apart.
 //!
 //! **One hook per fault.**  Every dialect, the DuckDB-like profile
-//! included, runs this row pipeline.  Each `SELECT`-operator fault hooks
+//! included, runs this pipeline.  Each `SELECT`-operator fault hooks
 //! once, in the operator that owns its stage of the data flow (the two
 //! scan faults in `Engine::load_source`, which only `Scan` and `Join`
 //! call); the reference evaluator has no copy.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use lancer_sql::ast::expr::{BinaryOp, Expr, TypeName};
+use lancer_sql::ast::expr::{BinaryOp, ColumnRef, Expr, TypeName};
 use lancer_sql::ast::stmt::{Join as JoinClause, JoinKind, Select, SelectItem};
 use lancer_sql::collation::Collation;
 use lancer_sql::value::Value;
 
 use crate::bugs::BugId;
 use crate::error::EngineResult;
-use crate::eval::RowSchema;
+use crate::eval::{RowSchema, RowView};
 use crate::exec::access::{find_equality_probe, probe_blocked_by_inheritance, probe_candidates};
-use crate::exec::batch::RowBatch;
-use crate::exec::query::{
-    columnar_sum_tail_len, concat_row, cross_product, expr_references_column,
-};
+use crate::exec::batch::{RowBatch, SourceRows, Tuple};
+use crate::exec::query::{columnar_sum_tail_len, expr_references_column};
 use crate::exec::{Engine, QueryResult};
 
 /// One stage of the physical pipeline for a `SELECT`.
@@ -50,7 +57,7 @@ use crate::exec::{Engine, QueryResult};
 /// [`Operator::apply`].
 pub(crate) enum Operator<'q> {
     /// Load every `FROM` source, apply the MEMORY-engine join fault, and
-    /// fold the sources into one batch (cross product).
+    /// pair the sources' rows into tuples (cross product).
     Scan,
     /// One explicit `JOIN` clause: load the right source and combine.
     Join(&'q JoinClause),
@@ -113,12 +120,12 @@ pub(crate) fn assemble(s: &Select) -> Vec<Operator<'_>> {
 
 impl<'q> Operator<'q> {
     /// Runs the operator: consumes the incoming batch, produces the next.
-    pub(crate) fn apply(
+    pub(crate) fn apply<'a>(
         &self,
-        engine: &Engine,
+        engine: &'a Engine,
         s: &'q Select,
-        batch: RowBatch,
-    ) -> EngineResult<RowBatch> {
+        batch: RowBatch<'a>,
+    ) -> EngineResult<RowBatch<'a>> {
         match self {
             Operator::Scan => engine.op_scan(s),
             Operator::Join(join) => engine.op_join(join, batch),
@@ -133,6 +140,33 @@ impl<'q> Operator<'q> {
     }
 }
 
+/// A projection item bound to the batch schema once per query.
+enum Bound<'q> {
+    /// A column that resolves: copied from this flat index of each tuple.
+    Column(usize),
+    /// Any other item, evaluated per tuple (so an unresolvable column
+    /// still errors at the first row, as it would unbound).
+    Expr(&'q Expr),
+}
+
+/// Binds projection items: `*` to every flat column, a column reference
+/// that resolves to its flat index, anything else to its expression.
+fn bind_items<'q>(items: &'q [SelectItem], schema: &RowSchema) -> Vec<Bound<'q>> {
+    let mut bound = Vec::with_capacity(items.len());
+    for item in items {
+        match item {
+            SelectItem::Wildcard => bound.extend((0..schema.width()).map(Bound::Column)),
+            SelectItem::Expr { expr, .. } => bound.push(match expr {
+                Expr::Column(c) => {
+                    schema.resolve(c).map_or(Bound::Expr(expr), |(i, _)| Bound::Column(i))
+                }
+                _ => Bound::Expr(expr),
+            }),
+        }
+    }
+    bound
+}
+
 impl Engine {
     pub(crate) fn exec_select(&self, s: &Select) -> EngineResult<QueryResult> {
         self.select_preflight(s)?;
@@ -143,8 +177,8 @@ impl Engine {
         Ok(QueryResult { columns: batch.columns, rows: batch.rows, affected: 0 })
     }
 
-    /// Loads the `FROM` sources and folds them into the initial batch.
-    fn op_scan(&self, s: &Select) -> EngineResult<RowBatch> {
+    /// Loads the `FROM` sources and pairs their rows into the first tuples.
+    fn op_scan(&self, s: &Select) -> EngineResult<RowBatch<'_>> {
         let mut sources = Vec::with_capacity(s.from.len());
         for name in &s.from {
             sources.push(self.load_source(name)?);
@@ -164,91 +198,60 @@ impl Engine {
             }
         }
 
-        let mut schema = RowSchema::default();
+        let mut batch = RowBatch::empty();
         let multi_source = sources.len() > 1;
-        let mut rows: Vec<Vec<Value>> = Vec::new();
         for (i, src) in sources.into_iter().enumerate() {
             if multi_source {
                 self.cover("exec.cross_join");
             }
-            schema.sources.push(src.schema);
-            // The first source's rows seed the pipeline without any copy.
+            Arc::make_mut(&mut batch.schema).sources.push(src.schema);
             if i == 0 {
-                rows = src.rows;
+                batch.scan(src.rows);
             } else {
-                rows = cross_product(&rows, &src.rows);
+                batch.join(src.rows, None, |_| Ok(true))?;
             }
         }
-        if schema.sources.is_empty() {
+        if batch.sources.is_empty() {
             // No FROM clause: a single constant row.
-            rows = vec![Vec::new()];
+            batch.scan(vec![Cow::Borrowed(&[])]);
         }
-        Ok(RowBatch { schema: Arc::new(schema), columns: Vec::new(), rows })
+        Ok(batch)
     }
 
     /// One explicit join: loads the right source lazily (so errors keep
     /// their original order relative to earlier joins' evaluation) and
-    /// combines the batch with it.
-    fn op_join(&self, join: &JoinClause, mut batch: RowBatch) -> EngineResult<RowBatch> {
+    /// pairs the batch's tuples with its rows.
+    fn op_join<'a>(
+        &'a self,
+        join: &JoinClause,
+        mut batch: RowBatch<'a>,
+    ) -> EngineResult<RowBatch<'a>> {
         let right = self.load_source(&join.table)?;
         let right_width = right.schema.columns.len();
         Arc::make_mut(&mut batch.schema).sources.push(right.schema);
-        let schema = &batch.schema;
+        let schema = Arc::clone(&batch.schema);
         match join.kind {
             JoinKind::Cross => self.cover("exec.cross_join"),
             JoinKind::Inner => self.cover("exec.inner_join"),
             JoinKind::Left => self.cover("exec.left_join"),
         }
+        let pad = (join.kind == JoinKind::Left).then(|| vec![Value::Null; right_width]);
+        let on = join.on.as_ref().filter(|_| join.kind != JoinKind::Cross);
         let ev = self.evaluator();
-        let mut next: Vec<Vec<Value>> = Vec::new();
-        match join.kind {
-            JoinKind::Cross => {
-                next = cross_product(&batch.rows, &right.rows);
-            }
-            JoinKind::Inner => {
-                for l in &batch.rows {
-                    for r in &right.rows {
-                        let combined = concat_row(l, r);
-                        let keep = match &join.on {
-                            Some(on) => ev.eval_predicate(on, schema, &combined)?.is_true(),
-                            None => true,
-                        };
-                        if keep {
-                            next.push(combined);
-                        }
-                    }
-                }
-            }
-            JoinKind::Left => {
-                for l in &batch.rows {
-                    let mut matched = false;
-                    for r in &right.rows {
-                        let combined = concat_row(l, r);
-                        let keep = match &join.on {
-                            Some(on) => ev.eval_predicate(on, schema, &combined)?.is_true(),
-                            None => true,
-                        };
-                        if keep {
-                            matched = true;
-                            next.push(combined);
-                        }
-                    }
-                    if !matched {
-                        let mut combined = Vec::with_capacity(l.len() + right_width);
-                        combined.extend_from_slice(l);
-                        combined.extend(std::iter::repeat_n(Value::Null, right_width));
-                        next.push(combined);
-                    }
-                }
-            }
-        }
-        batch.rows = next;
+        batch.join(right.rows, pad, |t| match on {
+            Some(on) => Ok(ev.eval_predicate(on, &schema, &t)?.is_true()),
+            None => Ok(true),
+        })?;
         Ok(batch)
     }
 
     /// Single-`FROM` index interactions: the Listing-1 partial-index fault
     /// first, then the equality-probe fast path (single source only).
-    fn op_index_probe(&self, s: &Select, mut batch: RowBatch) -> EngineResult<RowBatch> {
+    fn op_index_probe<'a>(
+        &'a self,
+        s: &Select,
+        mut batch: RowBatch<'a>,
+    ) -> EngineResult<RowBatch<'a>> {
         // Injected fault: a partial index whose predicate is `col NOT NULL`
         // is (incorrectly) used for `col IS NOT <literal>` conditions,
         // dropping NULL pivot rows (Listing 1).
@@ -264,11 +267,8 @@ impl Engine {
                     });
                     if has_partial {
                         self.cover("exec.partial_index");
-                        if let Some((ci, _)) = batch
-                            .schema
-                            .resolve(&lancer_sql::ast::expr::ColumnRef::unqualified(&col))
-                        {
-                            batch.rows.retain(|r| !r[ci].is_null());
+                        if let Some((ci, _)) = batch.schema.resolve(&ColumnRef::unqualified(&col)) {
+                            batch.retain_tuples(|t| !t.value(ci).is_some_and(Value::is_null));
                         }
                     }
                 }
@@ -280,9 +280,11 @@ impl Engine {
         if s.joins.is_empty() {
             if let Some(w) = &s.where_clause {
                 if let Some((col, lit)) = find_equality_probe(w) {
-                    let schema = Arc::clone(&batch.schema);
-                    batch.rows =
-                        self.index_equality_probe(&s.from[0], &col, &lit, &schema, batch.rows)?;
+                    if let Some(rows) =
+                        self.index_equality_probe(&s.from[0], &col, &lit, &batch.schema)?
+                    {
+                        batch.scan(rows);
+                    }
                 }
             }
         }
@@ -290,8 +292,10 @@ impl Engine {
     }
 
     /// Uses an index to narrow down candidate rows for `col = literal`
-    /// predicates on a single table.  The full WHERE clause is still
-    /// applied afterwards, so with a correctly maintained index this is
+    /// predicates on a single table, returning the rows the index serves
+    /// (borrowed from the table) to replace the scanned ones, or `None`
+    /// when no index applies.  The full WHERE clause is still applied
+    /// afterwards, so with a correctly maintained index this is
     /// result-preserving.
     ///
     /// The candidate index comes from [`probe_candidates`] — the same
@@ -305,16 +309,14 @@ impl Engine {
         col: &str,
         lit: &Value,
         schema: &RowSchema,
-        rows: Vec<Vec<Value>>,
-    ) -> EngineResult<Vec<Vec<Value>>> {
+    ) -> EngineResult<Option<SourceRows<'_>>> {
         if probe_blocked_by_inheritance(&self.db, self.dialect(), table) {
-            return Ok(rows);
+            return Ok(None);
         }
-        let Some(t) = self.db.table(table) else { return Ok(rows) };
-        let table_schema = t.schema.clone();
-        let Some(col_meta) = table_schema.column(col).cloned() else { return Ok(rows) };
+        let Some(t) = self.db.table(table) else { return Ok(None) };
+        let Some(col_meta) = t.schema.column(col) else { return Ok(None) };
         let index_name = probe_candidates(&self.db, table, col).first().map(|i| i.def.name.clone());
-        let Some(index_name) = index_name else { return Ok(rows) };
+        let Some(index_name) = index_name else { return Ok(None) };
         self.cover("exec.index_lookup");
         let mut probe = lit.clone();
         // Injected fault: probes against an INTEGER PRIMARY KEY are coerced
@@ -354,28 +356,23 @@ impl Engine {
                 .map(|e| e.row_id)
                 .collect()
         };
-        // Map row ids back to full rows; fall back to the scan rows when the
-        // id is gone (defensive).
+        // Map row ids back to rows, skipping ids that are gone (defensive).
         let t = self.db.require_table(table)?;
-        let mut out = Vec::new();
-        for rid in matching {
-            if let Some(row) = t.get(rid) {
-                out.push(row.values);
-            }
-        }
+        let out: SourceRows<'_> =
+            matching.iter().filter_map(|&rid| t.get(rid)).map(Cow::Borrowed).collect();
         // Keep rows that the index cannot serve (e.g. rows whose key the
         // comparison treats as equal across storage classes) out of the
         // result only if the index is authoritative; with schema width
-        // mismatches (views), fall back to the original rows.
+        // mismatches (views), keep the scanned rows.
         if schema.width() != t.schema.columns.len() {
-            return Ok(rows);
+            return Ok(None);
         }
-        Ok(out)
+        Ok(Some(out))
     }
 
-    /// The `WHERE` filter over one batch, one row at a time in input
+    /// The `WHERE` filter over one batch, one tuple at a time in input
     /// order (so evaluation errors rise in row order).
-    fn op_filter(&self, w: &Expr, mut batch: RowBatch) -> EngineResult<RowBatch> {
+    fn op_filter<'a>(&self, w: &Expr, mut batch: RowBatch<'a>) -> EngineResult<RowBatch<'a>> {
         self.cover("exec.where_filter");
         // Injected fault: the LIKE optimisation on INTEGER-affinity NOCASE
         // columns rejects exact matches (Listing 7).  The rewrite clones
@@ -390,34 +387,35 @@ impl Engine {
             };
         let tail_fault = self.bugs().is_enabled(BugId::DuckdbSelectionBitmapTailOffByOne);
         let ev = self.evaluator();
-        let input_len = batch.rows.len();
         let mut kept = Vec::new();
         let mut kept_idx: Vec<usize> = Vec::new();
-        for (i, r) in batch.rows.into_iter().enumerate() {
-            if ev.eval_predicate(where_clause, &batch.schema, &r)?.is_true() {
+        for (i, t) in batch.tuples().enumerate() {
+            if ev.eval_predicate(where_clause, &batch.schema, &t)?.is_true() {
                 // Input indices are only needed to locate the tail fault's
                 // victim; skip the bookkeeping on the fault-free path.
                 if tail_fault {
                     kept_idx.push(i);
                 }
-                kept.push(r);
+                kept.extend_from_slice(t.rows);
             }
         }
         // Injected fault: the selection bitmap mishandles the partial tail
         // lane group (DuckDB lane-width fault).
         if tail_fault {
-            if let Some(victim) = selection_tail_victim(&kept_idx, input_len) {
-                kept.remove(victim);
+            if let Some(victim) = selection_tail_victim(&kept_idx, batch.tuples().len()) {
+                let stride = batch.stride();
+                kept.drain(victim * stride..(victim + 1) * stride);
             }
         }
-        batch.rows = kept;
+        batch.tuples = kept;
         Ok(batch)
     }
 
     /// Poisoned projection after RENAME COLUMN + double-quoted index
-    /// expression (Listing 8): rewrites affected columns in place before
-    /// the batch is projected (plain or aggregate path alike).
-    fn apply_poisoned_columns(&self, s: &Select, batch: &mut RowBatch) {
+    /// expression (Listing 8): rewrites the affected column in its
+    /// source's rows, which the source then owns, before the batch is
+    /// projected (plain or aggregate path alike).
+    fn apply_poisoned_columns(&self, s: &Select, batch: &mut RowBatch<'_>) {
         if s.from.len() != 1 {
             return;
         }
@@ -429,12 +427,8 @@ impl Engine {
             .map(|(_, new, old)| (new.clone(), old.clone()))
             .collect();
         for (new_name, old_name) in poisons {
-            if let Some((ci, _)) =
-                batch.schema.resolve(&lancer_sql::ast::expr::ColumnRef::unqualified(&new_name))
-            {
-                for r in &mut batch.rows {
-                    r[ci] = Value::Text(old_name.to_ascii_uppercase());
-                }
+            if let Some((ci, _)) = batch.schema.resolve(&ColumnRef::unqualified(&new_name)) {
+                batch.overwrite_column(ci, &Value::Text(old_name.to_ascii_uppercase()));
             }
         }
     }
@@ -457,46 +451,47 @@ impl Engine {
         columns
     }
 
-    /// Plain (non-aggregate) projection.
-    fn op_project(&self, s: &Select, mut batch: RowBatch) -> EngineResult<RowBatch> {
+    /// Plain (non-aggregate) projection.  Like `Aggregate`, it copies only
+    /// the values that land in an output row.
+    fn op_project<'a>(&self, s: &Select, mut batch: RowBatch<'a>) -> EngineResult<RowBatch<'a>> {
         self.apply_poisoned_columns(s, &mut batch);
         let columns = self.projection_columns(s, &batch.schema);
-        // `SELECT *` is the identity on the batch: source rows *are* the
-        // output rows, so they move through unchanged instead of being
-        // cloned value by value.
-        if let [SelectItem::Wildcard] = s.items.as_slice() {
-            batch.columns = columns;
-            return Ok(batch);
-        }
+        let items = bind_items(&s.items, &batch.schema);
+        // Every column in order: each output row is its tuple, copied whole.
+        let whole_tuple = items.len() == batch.schema.width()
+            && items
+                .iter()
+                .enumerate()
+                .all(|(k, item)| matches!(item, Bound::Column(i) if *i == k));
         let ev = self.evaluator();
-        let mut projected = Vec::with_capacity(batch.rows.len());
-        for r in &batch.rows {
-            let mut out_row = Vec::with_capacity(columns.len());
-            for item in &s.items {
-                match item {
-                    SelectItem::Wildcard => out_row.extend(r.iter().cloned()),
-                    SelectItem::Expr { expr, .. } => {
-                        out_row.push(ev.eval(expr, &batch.schema, r)?)
-                    }
-                }
+        let mut rows = Vec::with_capacity(batch.tuples().len());
+        for t in batch.tuples() {
+            if whole_tuple {
+                rows.push(t.to_row());
+                continue;
             }
-            projected.push(out_row);
+            let mut out_row = Vec::with_capacity(items.len());
+            for item in &items {
+                out_row.push(match item {
+                    Bound::Column(i) => t.value(*i).cloned().unwrap_or(Value::Null),
+                    Bound::Expr(expr) => ev.eval(expr, &batch.schema, &t)?,
+                });
+            }
+            rows.push(out_row);
         }
-        batch.columns = columns;
-        batch.rows = projected;
-        Ok(batch)
+        Ok(RowBatch { columns, rows, ..RowBatch::empty() })
     }
 
-    /// Grouping / aggregation projection.
-    fn op_aggregate(&self, s: &Select, mut batch: RowBatch) -> EngineResult<RowBatch> {
+    /// Grouping / aggregation projection: groups tuples and folds each
+    /// group in place, copying only the output values.
+    fn op_aggregate<'a>(&self, s: &Select, mut batch: RowBatch<'a>) -> EngineResult<RowBatch<'a>> {
         self.apply_poisoned_columns(s, &mut batch);
         self.cover("exec.group_by");
-        let schema = Arc::clone(&batch.schema);
+        let schema = &*batch.schema;
         let ev = self.evaluator();
-        // Build groups.  The batch's rows are consumed directly.
         let mut group_keys: Vec<Vec<Value>> = Vec::new();
-        let mut groups: Vec<Vec<Vec<Value>>> = Vec::new();
-        let mut input_rows: Vec<Vec<Value>> = std::mem::take(&mut batch.rows);
+        let mut groups: Vec<Vec<Tuple<'_, 'a>>> = Vec::new();
+        let mut input: Vec<Tuple<'_, 'a>> = batch.tuples().collect();
 
         // Injected fault: GROUP BY over an inheritance parent merges child
         // rows with parent rows that share the first grouping key
@@ -508,27 +503,27 @@ impl Engine {
         {
             let mut seen: Vec<Value> = Vec::new();
             let mut filtered = Vec::new();
-            for r in input_rows {
-                let key = ev.eval(&s.group_by[0], &schema, &r)?;
+            for t in input {
+                let key = ev.eval(&s.group_by[0], schema, &t)?;
                 if seen.iter().any(|k| k.same_as(&key)) {
                     continue;
                 }
                 seen.push(key);
-                filtered.push(r);
+                filtered.push(t);
             }
-            input_rows = filtered;
+            input = filtered;
         }
 
         if s.group_by.is_empty() {
             group_keys.push(Vec::new());
-            groups.push(input_rows);
+            groups.push(input);
         } else {
             let drop_null_groups = self.bugs().is_enabled(BugId::SqliteGroupByNoCaseDuplicates)
-                && s.group_by.iter().any(|g| ev.collation_of(g, &schema) == Collation::NoCase);
-            for r in input_rows {
+                && s.group_by.iter().any(|g| ev.collation_of(g, schema) == Collation::NoCase);
+            for t in input {
                 let mut key = Vec::with_capacity(s.group_by.len());
                 for g in &s.group_by {
-                    key.push(ev.eval(g, &schema, &r)?);
+                    key.push(ev.eval(g, schema, &t)?);
                 }
                 // Injected fault: NULL-keyed groups are dropped when grouping
                 // on a NOCASE column (§4.4 COLLATE bugs).
@@ -538,22 +533,22 @@ impl Engine {
                 match group_keys.iter().position(|k| {
                     k.len() == key.len() && k.iter().zip(key.iter()).all(|(a, b)| a.same_as(b))
                 }) {
-                    Some(i) => groups[i].push(r),
+                    Some(i) => groups[i].push(t),
                     None => {
                         group_keys.push(key);
-                        groups.push(vec![r]);
+                        groups.push(vec![t]);
                     }
                 }
             }
         }
 
-        let columns = self.projection_columns(s, &schema);
+        let columns = self.projection_columns(s, schema);
         let mut out_rows = Vec::new();
         for group in &groups {
             // HAVING.
             if let Some(h) = &s.having {
                 self.cover("exec.having");
-                let hv = self.eval_aggregate_expr(h, &schema, group)?;
+                let hv = self.eval_aggregate_expr(h, schema, group)?;
                 if !self.evaluator().value_to_tribool(&hv)?.is_true() {
                     continue;
                 }
@@ -561,15 +556,12 @@ impl Engine {
             let mut out_row = Vec::new();
             for item in &s.items {
                 match item {
-                    SelectItem::Wildcard => {
-                        if let Some(first) = group.first() {
-                            out_row.extend(first.iter().cloned());
-                        } else {
-                            out_row.extend(std::iter::repeat_n(Value::Null, schema.width()));
-                        }
-                    }
+                    SelectItem::Wildcard => match group.first() {
+                        Some(first) => out_row.extend(first.to_row()),
+                        None => out_row.extend(std::iter::repeat_n(Value::Null, schema.width())),
+                    },
                     SelectItem::Expr { expr, .. } => {
-                        out_row.push(self.eval_aggregate_expr(expr, &schema, group)?);
+                        out_row.push(self.eval_aggregate_expr(expr, schema, group)?);
                     }
                 }
             }
@@ -585,19 +577,17 @@ impl Engine {
                         out_row.extend(std::iter::repeat_n(Value::Null, schema.width()));
                     }
                     SelectItem::Expr { expr, .. } => {
-                        out_row.push(self.eval_aggregate_expr(expr, &schema, &[])?);
+                        out_row.push(self.eval_aggregate_expr::<Tuple>(expr, schema, &[])?);
                     }
                 }
             }
             out_rows.push(out_row);
         }
-        batch.columns = columns;
-        batch.rows = out_rows;
-        Ok(batch)
+        Ok(RowBatch { columns, rows: out_rows, ..RowBatch::empty() })
     }
 
     /// `SELECT DISTINCT` deduplication.
-    fn op_distinct(&self, s: &Select, mut batch: RowBatch) -> EngineResult<RowBatch> {
+    fn op_distinct<'a>(&self, s: &Select, mut batch: RowBatch<'a>) -> EngineResult<RowBatch<'a>> {
         self.cover("exec.distinct");
         // Injected fault: the skip-scan optimisation applied to DISTINCT
         // after ANALYZE dedupes on the first column only (Listing 6).
@@ -638,7 +628,7 @@ impl Engine {
 
     /// `ORDER BY` (ordering never affects the containment oracle, but the
     /// engine still implements it for completeness).
-    fn op_sort(&self, s: &Select, mut batch: RowBatch) -> EngineResult<RowBatch> {
+    fn op_sort<'a>(&self, s: &Select, mut batch: RowBatch<'a>) -> EngineResult<RowBatch<'a>> {
         self.cover("exec.order_by");
         batch.rows.sort_by(|a, b| {
             for (i, term) in s.order_by.iter().enumerate() {
@@ -662,7 +652,7 @@ impl Engine {
     }
 
     /// `LIMIT` / `OFFSET` truncation.
-    fn op_limit(&self, s: &Select, mut batch: RowBatch) -> EngineResult<RowBatch> {
+    fn op_limit<'a>(&self, s: &Select, mut batch: RowBatch<'a>) -> EngineResult<RowBatch<'a>> {
         self.cover("exec.limit_offset");
         let offset = s.offset.unwrap_or(0) as usize;
         let limit = s.limit.map(|l| l as usize).unwrap_or(usize::MAX);

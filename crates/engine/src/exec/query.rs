@@ -1,8 +1,15 @@
 //! Query execution: compound queries, the pipeline's `FROM`-source
-//! loading, and what the batched pipeline (`exec::pipeline`) shares with
-//! the fault-free reference evaluator (`exec::reference`): the `SELECT`
+//! loading, and what the pipeline (`exec::pipeline`) shares with the
+//! fault-free reference evaluator (`exec::reference`): the `SELECT`
 //! preflight with its planning-time error faults, aggregate evaluation,
 //! and the row helpers.
+//!
+//! [`Engine::load_source`] hands the pipeline a table's rows borrowed
+//! from the table's row block; it copies values only for rows no table
+//! stores (a view's result, child rows projected onto an inheritance
+//! parent).  [`Engine::eval_aggregate_expr`] folds a group through the
+//! [`RowView`] trait, so the pipeline's groups of borrowed tuples and the
+//! reference's groups of owned rows share one implementation.
 //!
 //! Most containment-oracle faults fire inside `SELECT` execution, because
 //! that is where a real DBMS's planner and optimisations live — exactly
@@ -10,6 +17,8 @@
 //! The `SELECT`-operator faults hook in the pipeline, and in
 //! [`Engine::load_source`], which only the pipeline calls.  The fault
 //! hooks in the shared helpers fire through both evaluators.
+
+use std::borrow::Cow;
 
 use lancer_sql::ast::expr::{AggFunc, BinaryOp, Expr, TypeName};
 use lancer_sql::ast::stmt::{CompoundOp, Query, Select, TableEngine};
@@ -21,13 +30,14 @@ use lancer_storage::StorageError;
 use crate::bugs::BugId;
 use crate::dialect::Dialect;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{eval_aggregate, RowSchema, SourceSchema};
+use crate::eval::{eval_aggregate, RowSchema, RowView, SourceSchema};
+use crate::exec::batch::SourceRows;
 use crate::exec::{Engine, QueryResult};
 
 /// Rows of one `FROM` source together with its schema.
-pub(crate) struct SourceData {
+pub(crate) struct SourceData<'a> {
     pub(crate) schema: SourceSchema,
-    pub(crate) rows: Vec<Vec<Value>>,
+    pub(crate) rows: SourceRows<'a>,
     pub(crate) memory_engine: bool,
 }
 
@@ -110,10 +120,11 @@ impl Engine {
     }
 
     /// Loads the rows of one `FROM` source (table, view, or inheritance
-    /// hierarchy) for the pipeline, expanding views through it too.  Home
-    /// of the two scan faults (WITHOUT ROWID dedup, SERIAL inheritance
-    /// bypass).
-    pub(crate) fn load_source(&self, name: &str) -> EngineResult<SourceData> {
+    /// hierarchy) for the pipeline, expanding views through it too.  A
+    /// table's rows are borrowed; view rows and projected child rows are
+    /// owned.  Home of the two scan faults (WITHOUT ROWID dedup, SERIAL
+    /// inheritance bypass).
+    pub(crate) fn load_source(&self, name: &str) -> EngineResult<SourceData<'_>> {
         if let Some(view) = self.db.view(name).cloned() {
             self.cover("exec.view_expansion");
             let result = self.exec_select(&view.query)?;
@@ -133,14 +144,14 @@ impl Engine {
                 .collect();
             return Ok(SourceData {
                 schema: SourceSchema { name: name.to_owned(), columns },
-                rows: result.rows,
+                rows: result.rows.into_iter().map(Cow::Owned).collect(),
                 memory_engine: false,
             });
         }
         self.cover("exec.table_scan");
         let table = self.db.require_table(name)?;
-        let schema = table.schema.clone();
-        let mut rows: Vec<Vec<Value>> = table.rows().map(|r| r.values).collect();
+        let schema = &table.schema;
+        let mut rows: SourceRows<'_> = table.rows().map(|(_, r)| Cow::Borrowed(r)).collect();
 
         // SQLite WITHOUT ROWID tables are physically the primary-key index;
         // the injected NOCASE dedup fault hides case-differing keys
@@ -178,19 +189,19 @@ impl Engine {
             if !skip_children {
                 for child in children {
                     let child_table = self.db.require_table(&child)?;
-                    let child_schema = child_table.schema.clone();
-                    for row in child_table.rows() {
+                    let child_schema = &child_table.schema;
+                    for (_, row) in child_table.rows() {
                         let projected: Vec<Value> = schema
                             .columns
                             .iter()
                             .map(|pc| {
                                 child_schema
                                     .column_index(&pc.name)
-                                    .map(|ci| row.values[ci].clone())
+                                    .map(|ci| row[ci].clone())
                                     .unwrap_or(Value::Null)
                             })
                             .collect();
-                        rows.push(projected);
+                        rows.push(Cow::Owned(projected));
                     }
                 }
             }
@@ -271,7 +282,7 @@ impl Engine {
                             .map(|t| {
                                 t.schema
                                     .column_index(&col.column)
-                                    .is_some_and(|ci| t.rows().any(|r| r.values[ci].is_null()))
+                                    .is_some_and(|ci| t.rows().any(|(_, r)| r[ci].is_null()))
                             })
                             .unwrap_or(false);
                         let has_range = expr_contains(w, &|e| {
@@ -297,11 +308,11 @@ impl Engine {
 
     /// Evaluates an expression that may contain aggregate calls over a group
     /// of rows.
-    pub(crate) fn eval_aggregate_expr(
+    pub(crate) fn eval_aggregate_expr<R: RowView>(
         &self,
         expr: &Expr,
         schema: &RowSchema,
-        group: &[Vec<Value>],
+        group: &[R],
     ) -> EngineResult<Value> {
         self.cover("expr.aggregate");
         let ev = self.evaluator();
@@ -342,7 +353,7 @@ impl Engine {
                         right: Box::new(Expr::Literal(r)),
                     },
                     &RowSchema::empty(),
-                    &[],
+                    NO_ROW,
                 )
             }
             Expr::Unary { op, expr: inner } => {
@@ -350,7 +361,7 @@ impl Engine {
                 ev.eval(
                     &Expr::Unary { op: *op, expr: Box::new(Expr::Literal(v)) },
                     &RowSchema::empty(),
-                    &[],
+                    NO_ROW,
                 )
             }
             other => Err(EngineError::semantic(format!(
@@ -372,28 +383,11 @@ pub(crate) fn columnar_sum_tail_len(n: usize) -> usize {
     n - n % COLUMNAR_LANE_WIDTH
 }
 
+/// The row of a constant expression (no columns).
+const NO_ROW: &[Value] = &[];
+
 pub(crate) fn contains(rows: &[Vec<Value>], row: &[Value]) -> bool {
     rows.iter().any(|r| r.len() == row.len() && r.iter().zip(row.iter()).all(|(a, b)| a.same_as(b)))
-}
-
-pub(crate) fn cross_product(left: &[Vec<Value>], right: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let mut out = Vec::with_capacity(left.len() * right.len().max(1));
-    for l in left {
-        for r in right {
-            out.push(concat_row(l, r));
-        }
-    }
-    out
-}
-
-/// Concatenates two row halves with a single exact-size allocation (the
-/// clone-then-extend idiom this replaces paid a second allocation on the
-/// `extend` growth path for every joined row pair).
-pub(crate) fn concat_row(l: &[Value], r: &[Value]) -> Vec<Value> {
-    let mut combined = Vec::with_capacity(l.len() + r.len());
-    combined.extend_from_slice(l);
-    combined.extend_from_slice(r);
-    combined
 }
 
 /// Returns `true` if any node of the expression satisfies the predicate.

@@ -20,15 +20,21 @@
 //! expression-evaluator layer.
 
 use lancer_sql::ast::expr::{BinaryOp, Expr};
-use lancer_sql::ast::stmt::{CompoundOp, JoinKind, Query, Select, SelectItem, TableEngine};
+use lancer_sql::ast::stmt::{CompoundOp, JoinKind, Query, Select, SelectItem};
 use lancer_sql::collation::Collation;
 use lancer_sql::value::Value;
 use lancer_storage::schema::ColumnMeta;
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{RowSchema, SourceSchema};
-use crate::exec::query::{concat_row, contains, cross_product, SourceData};
+use crate::exec::query::contains;
 use crate::exec::{Engine, QueryResult};
+
+/// The owned rows of one `FROM` source together with its schema.
+struct SourceData {
+    schema: SourceSchema,
+    rows: Vec<Vec<Value>>,
+}
 
 impl Engine {
     /// Executes a query through the fault-free reference evaluator
@@ -124,13 +130,12 @@ impl Engine {
             return Ok(SourceData {
                 schema: SourceSchema { name: name.to_owned(), columns },
                 rows: result.rows,
-                memory_engine: false,
             });
         }
         self.cover("exec.table_scan");
         let table = self.db.require_table(name)?;
         let schema = table.schema.clone();
-        let mut rows: Vec<Vec<Value>> = table.rows().map(|r| r.values).collect();
+        let mut rows: Vec<Vec<Value>> = table.rows().map(|(_, r)| r.to_vec()).collect();
 
         // PostgreSQL table inheritance: scanning the parent includes child
         // rows projected onto the parent's columns.
@@ -140,14 +145,14 @@ impl Engine {
             for child in children {
                 let child_table = self.db.require_table(&child)?;
                 let child_schema = child_table.schema.clone();
-                for row in child_table.rows() {
+                for (_, row) in child_table.rows() {
                     let projected: Vec<Value> = schema
                         .columns
                         .iter()
                         .map(|pc| {
                             child_schema
                                 .column_index(&pc.name)
-                                .map(|ci| row.values[ci].clone())
+                                .map(|ci| row[ci].clone())
                                 .unwrap_or(Value::Null)
                         })
                         .collect();
@@ -159,7 +164,6 @@ impl Engine {
         Ok(SourceData {
             schema: SourceSchema { name: schema.name.clone(), columns: schema.columns.clone() },
             rows,
-            memory_engine: schema.engine == TableEngine::Memory,
         })
     }
 
@@ -210,7 +214,9 @@ impl Engine {
                         for r in &right.rows {
                             let combined = concat_row(l, r);
                             let keep = match &join.on {
-                                Some(on) => ev.eval_predicate(on, &schema, &combined)?.is_true(),
+                                Some(on) => {
+                                    ev.eval_predicate(on, &schema, combined.as_slice())?.is_true()
+                                }
                                 None => true,
                             };
                             if keep {
@@ -225,7 +231,9 @@ impl Engine {
                         for r in &right.rows {
                             let combined = concat_row(l, r);
                             let keep = match &join.on {
-                                Some(on) => ev.eval_predicate(on, &schema, &combined)?.is_true(),
+                                Some(on) => {
+                                    ev.eval_predicate(on, &schema, combined.as_slice())?.is_true()
+                                }
                                 None => true,
                             };
                             if keep {
@@ -261,7 +269,7 @@ impl Engine {
             let ev = self.evaluator();
             let mut kept = Vec::new();
             for r in rows {
-                if ev.eval_predicate(w, &schema, &r)?.is_true() {
+                if ev.eval_predicate(w, &schema, r.as_slice())?.is_true() {
                     kept.push(r);
                 }
             }
@@ -372,7 +380,7 @@ impl Engine {
         let mut out = Vec::new();
         for rid in matching {
             if let Some(row) = t.get(rid) {
-                out.push(row.values);
+                out.push(row.to_vec());
             }
         }
         if schema.width() != t.schema.columns.len() {
@@ -407,7 +415,9 @@ impl Engine {
             for item in &s.items {
                 match item {
                     SelectItem::Wildcard => out_row.extend(r.iter().cloned()),
-                    SelectItem::Expr { expr, .. } => out_row.push(ev.eval(expr, schema, r)?),
+                    SelectItem::Expr { expr, .. } => {
+                        out_row.push(ev.eval(expr, schema, r.as_slice())?)
+                    }
                 }
             }
             projected.push(out_row);
@@ -425,16 +435,17 @@ impl Engine {
         let ev = self.evaluator();
         // Build groups.
         let mut group_keys: Vec<Vec<Value>> = Vec::new();
-        let mut groups: Vec<Vec<Vec<Value>>> = Vec::new();
+        let mut groups: Vec<Vec<&[Value]>> = Vec::new();
 
         if s.group_by.is_empty() {
             group_keys.push(Vec::new());
-            groups.push(rows);
+            groups.push(rows.iter().map(Vec::as_slice).collect());
         } else {
-            for r in rows {
+            for r in &rows {
+                let r = r.as_slice();
                 let mut key = Vec::with_capacity(s.group_by.len());
                 for g in &s.group_by {
-                    key.push(ev.eval(g, schema, &r)?);
+                    key.push(ev.eval(g, schema, r)?);
                 }
                 match group_keys.iter().position(|k| {
                     k.len() == key.len() && k.iter().zip(key.iter()).all(|(a, b)| a.same_as(b))
@@ -499,7 +510,7 @@ impl Engine {
                         out_row.extend(std::iter::repeat_n(Value::Null, schema.width()));
                     }
                     SelectItem::Expr { expr, .. } => {
-                        out_row.push(self.eval_aggregate_expr(expr, schema, &[])?);
+                        out_row.push(self.eval_aggregate_expr::<&[Value]>(expr, schema, &[])?);
                     }
                 }
             }
@@ -525,4 +536,22 @@ fn reference_equality_probe(expr: &Expr) -> Option<(String, Value)> {
         },
         _ => None,
     }
+}
+
+fn cross_product(left: &[Vec<Value>], right: &[Vec<Value>]) -> Vec<Vec<Value>> {
+    let mut out = Vec::with_capacity(left.len() * right.len().max(1));
+    for l in left {
+        for r in right {
+            out.push(concat_row(l, r));
+        }
+    }
+    out
+}
+
+/// Concatenates two row halves with a single exact-size allocation.
+fn concat_row(l: &[Value], r: &[Value]) -> Vec<Value> {
+    let mut combined = Vec::with_capacity(l.len() + r.len());
+    combined.extend_from_slice(l);
+    combined.extend_from_slice(r);
+    combined
 }

@@ -295,32 +295,45 @@ impl Value {
     /// Renders the value as a SQL literal that parses back to the same value.
     #[must_use]
     pub fn to_sql_literal(&self) -> String {
+        let mut literal = String::new();
+        self.write_sql_literal(&mut literal);
+        literal
+    }
+
+    /// Appends [`Value::to_sql_literal`]'s rendering to `out`, so callers
+    /// that join many literals can reuse one buffer.
+    pub fn write_sql_literal(&self, out: &mut String) {
+        use std::fmt::Write;
         match self {
-            Value::Null => "NULL".to_owned(),
+            Value::Null => out.push_str("NULL"),
             // `i64::MIN` cannot be written as a plain literal (its absolute
             // value overflows before the unary minus applies), so it is
             // rendered as an expression that parses back to the same value.
-            Value::Integer(i64::MIN) => "(-9223372036854775807 - 1)".to_owned(),
-            Value::Integer(i) => i.to_string(),
-            Value::Real(r) => {
-                if r.is_nan() {
-                    "(0.0 / 0.0)".to_owned()
-                } else if r.is_infinite() {
-                    if *r > 0.0 {
-                        "(1e308 * 10)".to_owned()
-                    } else {
-                        "(-1e308 * 10)".to_owned()
+            Value::Integer(i64::MIN) => out.push_str("(-9223372036854775807 - 1)"),
+            Value::Integer(i) => write!(out, "{i}").expect(INFALLIBLE),
+            Value::Real(r) if r.is_nan() => out.push_str("(0.0 / 0.0)"),
+            Value::Real(r) if r.is_infinite() => {
+                out.push_str(if *r > 0.0 { "(1e308 * 10)" } else { "(-1e308 * 10)" });
+            }
+            Value::Real(r) => write_real(out, *r),
+            Value::Text(t) => {
+                out.push('\'');
+                for (i, part) in t.split('\'').enumerate() {
+                    if i > 0 {
+                        out.push_str("''");
                     }
-                } else {
-                    format_real(*r)
+                    out.push_str(part);
                 }
+                out.push('\'');
             }
-            Value::Text(t) => format!("'{}'", t.replace('\'', "''")),
             Value::Blob(b) => {
-                let hex: String = b.iter().map(|byte| format!("{byte:02X}")).collect();
-                format!("x'{hex}'")
+                out.push_str("x'");
+                for byte in b {
+                    write!(out, "{byte:02X}").expect(INFALLIBLE);
+                }
+                out.push('\'');
             }
-            Value::Boolean(b) => if *b { "TRUE" } else { "FALSE" }.to_owned(),
+            Value::Boolean(b) => out.push_str(if *b { "TRUE" } else { "FALSE" }),
         }
     }
 }
@@ -388,18 +401,27 @@ impl fmt::Display for Value {
 /// or exponent so the text round-trips back to a REAL).
 #[must_use]
 pub fn format_real(r: f64) -> String {
+    let mut text = String::new();
+    write_real(&mut text, r);
+    text
+}
+
+/// Appends [`format_real`]'s rendering of `r` to `out`.
+fn write_real(out: &mut String, r: f64) {
+    use std::fmt::Write;
     if r.is_nan() {
-        return "NaN".to_owned();
-    }
-    if r.is_infinite() {
-        return if r > 0.0 { "Inf".to_owned() } else { "-Inf".to_owned() };
-    }
-    if r == r.trunc() && r.abs() < 1e15 {
-        format!("{r:.1}")
+        out.push_str("NaN");
+    } else if r.is_infinite() {
+        out.push_str(if r > 0.0 { "Inf" } else { "-Inf" });
+    } else if r == r.trunc() && r.abs() < 1e15 {
+        write!(out, "{r:.1}").expect(INFALLIBLE);
     } else {
-        format!("{r}")
+        write!(out, "{r}").expect(INFALLIBLE);
     }
 }
+
+/// Why `write!` into a `String` is unwrapped.
+const INFALLIBLE: &str = "writing to a String cannot fail";
 
 /// Parses the longest numeric prefix of a string as a float (SQLite text →
 /// numeric conversion).  Returns `0.0` if the string has no numeric prefix.

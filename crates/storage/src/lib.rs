@@ -25,4 +25,4 @@ pub use cow::{cow_stats, CowStats};
 pub use error::{StorageError, StorageResult};
 pub use index::{Index, IndexDef, IndexEntry};
 pub use schema::{Affinity, ColumnMeta, TableSchema};
-pub use table::{Row, RowId, Table};
+pub use table::{RowId, Table};

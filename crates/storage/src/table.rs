@@ -13,15 +13,6 @@ use crate::schema::TableSchema;
 /// An opaque row identifier (the SQLite `rowid` analogue).
 pub type RowId = u64;
 
-/// A stored row together with its identifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Row {
-    /// The row identifier.
-    pub id: RowId,
-    /// Column values in schema order.
-    pub values: Vec<Value>,
-}
-
 /// A table: schema plus rows.
 ///
 /// The row block lives behind an [`Arc`], so cloning a table (directly or
@@ -89,10 +80,11 @@ impl Table {
         Ok(id)
     }
 
-    /// Fetches a row by id.
+    /// The values of a row, in schema order, borrowed from the row block:
+    /// reading never copies a value or unshares a block a snapshot holds.
     #[must_use]
-    pub fn get(&self, id: RowId) -> Option<Row> {
-        self.rows.get(&id).map(|values| Row { id, values: values.clone() })
+    pub fn get(&self, id: RowId) -> Option<&[Value]> {
+        self.rows.get(&id).map(Vec::as_slice)
     }
 
     /// Replaces the values of an existing row.
@@ -124,9 +116,11 @@ impl Table {
         self.rows_mut().remove(&id).is_some()
     }
 
-    /// Iterates over all rows in rowid order.
-    pub fn rows(&self) -> impl Iterator<Item = Row> + '_ {
-        self.rows.iter().map(|(id, values)| Row { id: *id, values: values.clone() })
+    /// Iterates over all rows in rowid order as `(id, values)` pairs,
+    /// borrowed from the row block like [`Table::get`]: callers clone only
+    /// the values they keep.
+    pub fn rows(&self) -> impl Iterator<Item = (RowId, &[Value])> + '_ {
+        self.rows.iter().map(|(id, values)| (*id, values.as_slice()))
     }
 
     /// Returns all row ids.
@@ -203,9 +197,9 @@ mod tests {
         let mut t = table_with_cols(2);
         let id = t.insert(vec![Value::Integer(1), Value::Text("a".into())]).unwrap();
         assert_eq!(t.row_count(), 1);
-        assert_eq!(t.get(id).unwrap().values[0], Value::Integer(1));
+        assert_eq!(t.get(id).unwrap()[0], Value::Integer(1));
         t.update(id, vec![Value::Integer(2), Value::Null]).unwrap();
-        assert_eq!(t.get(id).unwrap().values[1], Value::Null);
+        assert_eq!(t.get(id).unwrap()[1], Value::Null);
         assert!(t.delete(id));
         assert!(!t.delete(id));
         assert!(t.is_empty());
@@ -236,11 +230,29 @@ mod tests {
         let meta = ColumnMeta::from_def(&ColumnDef::new("c1", None));
         t.add_column(meta.clone(), Value::Null).unwrap();
         assert_eq!(t.schema.columns.len(), 2);
-        assert_eq!(t.rows().next().unwrap().values.len(), 2);
+        assert_eq!(t.rows().next().unwrap().1.len(), 2);
         assert!(t.add_column(meta, Value::Null).is_err());
         t.rename_column("c1", "c9").unwrap();
         assert!(t.schema.column_index("c9").is_some());
         assert!(t.rename_column("zzz", "c10").is_err());
         assert!(t.rename_column("c0", "c9").is_err());
+    }
+
+    #[test]
+    fn reads_never_unshare_the_row_block() {
+        let mut t = table_with_cols(2);
+        let id = t.insert(vec![Value::Integer(1), Value::Text("a".into())]).unwrap();
+        t.insert(vec![Value::Null, Value::Integer(2)]).unwrap();
+        let snapshot = t.clone();
+        let before = crate::cow_stats();
+        let read: Vec<(RowId, Vec<Value>)> = t.rows().map(|(i, v)| (i, v.to_vec())).collect();
+        assert_eq!(read.len(), 2);
+        assert_eq!(t.get(id), Some(&[Value::Integer(1), Value::Text("a".into())][..]));
+        assert_eq!(snapshot.get(id), t.get(id));
+        assert!(t.get(id + 100).is_none());
+        // Both handles hand out the same stored values, not copies.
+        assert!(std::ptr::eq(t.get(id).unwrap(), snapshot.get(id).unwrap()));
+        assert_eq!(crate::cow_stats(), before, "a read must not copy the row block");
+        assert!(t.shares_rows() && snapshot.shares_rows());
     }
 }

@@ -4,10 +4,12 @@
 //! fires.
 //!
 //! Random generated databases and random queries — probe shapes plus
-//! explicit joins, aggregates, HAVING and compound operators — run
-//! through both evaluators on the same engine.  The results must match
-//! *exactly*: identical rows in identical order (which subsumes the
-//! multiset requirement), identical column labels, and identical errors.
+//! the oracles' projection shapes, three-table sources, explicit joins
+//! (a `LEFT JOIN` filtered on its padded side among them), aggregates,
+//! HAVING and compound operators — run through both evaluators on the
+//! same engine.  The results must match *exactly*: identical rows in
+//! identical order (which subsumes the multiset requirement), identical
+//! column labels, and identical errors.
 //! The suite runs with no fault enabled, and with every fault except
 //! [`OPERATOR_FAULTS`]: states corrupted by DDL/DML faults and the hooks
 //! both evaluators share (expression evaluator, `SELECT` preflight,
@@ -19,7 +21,8 @@
 use lancer_core::gen::{random_expression, GenConfig, StateGenerator, VisibleColumn};
 use lancer_core::qpg::random_probe_query;
 use lancer_engine::{BugId, BugProfile, Dialect, Engine};
-use lancer_sql::ast::stmt::{CompoundOp, Join, JoinKind, Query, Statement};
+use lancer_sql::ast::expr::{AggFunc, Expr};
+use lancer_sql::ast::stmt::{CompoundOp, Join, JoinKind, Query, Select, SelectItem, Statement};
 use lancer_sql::parser::parse_expression;
 use lancer_sql::value::Value;
 use proptest::prelude::*;
@@ -60,12 +63,123 @@ fn visible_columns(engine: &Engine, tables: &[String]) -> Vec<VisibleColumn> {
     out
 }
 
+/// The select's sources in scan order: `FROM` first, then the joins.
+fn source_tables(s: &Select) -> Vec<String> {
+    s.from.iter().cloned().chain(s.joins.iter().map(|j| j.table.clone())).collect()
+}
+
+fn item(expr: Expr) -> SelectItem {
+    SelectItem::Expr { expr, alias: None }
+}
+
+/// Every column as a qualified reference, in order.
+fn qualified_items(columns: &[VisibleColumn]) -> Vec<SelectItem> {
+    columns.iter().map(|c| item(Expr::qcol(c.table.clone(), c.meta.name.clone()))).collect()
+}
+
+/// Rewrites the select into one of the projection and source shapes the
+/// oracles build, or that exercise the pipeline's tuple bookkeeping:
+/// which flat column a tuple reads, whole-tuple copies, row order across
+/// several sources, and a `LEFT JOIN`'s padded row.
+fn reshape(rng: &mut StdRng, engine: &Engine, s: &mut Select) {
+    let dialect = engine.dialect();
+    let tables = engine.database().table_names();
+    let columns = visible_columns(engine, &source_tables(s));
+    if columns.is_empty() {
+        return;
+    }
+    match rng.gen_range(0..7) {
+        // Every qualified column in source order under `p`, `NOT p` or
+        // `p IS NULL`: the TLP, NoREC and containment queries.
+        0 => {
+            let p = random_expression(rng, &columns, dialect, 1);
+            s.items = qualified_items(&columns);
+            s.where_clause = Some(match rng.gen_range(0..3) {
+                0 => p,
+                1 => p.not(),
+                _ => p.is_null(),
+            });
+        }
+        // NoREC's unoptimized count.
+        1 => {
+            let p = random_expression(rng, &columns, dialect, 1);
+            s.items = vec![item(Expr::Aggregate {
+                func: AggFunc::Sum,
+                arg: Some(Box::new(Expr::case_when(p, Expr::int(1), Expr::int(0)))),
+                distinct: false,
+            })];
+            s.where_clause = None;
+        }
+        // A permuted column list, possibly with a column repeated.
+        2 => {
+            let mut items = qualified_items(&columns);
+            items.shuffle(rng);
+            if rng.gen_bool(0.5) {
+                let repeated = items[rng.gen_range(0..items.len())].clone();
+                items.insert(rng.gen_range(0..=items.len()), repeated);
+            }
+            s.items = items;
+        }
+        // Expression items under DISTINCT.
+        3 => {
+            s.items = (0..rng.gen_range(1..=3))
+                .map(|_| item(random_expression(rng, &columns, dialect, 1)))
+                .collect();
+            s.distinct = true;
+        }
+        // A bare column that resolves nowhere, over some rows or none:
+        // SQLite reads it as a string, the others error at the first row.
+        4 => {
+            s.items = vec![item(Expr::col("c_nowhere"))];
+            if rng.gen_bool(0.5) {
+                s.items.insert(0, qualified_items(&columns).swap_remove(0));
+            }
+            if rng.gen_bool(0.5) {
+                s.where_clause = Some(Expr::int(1).eq(Expr::int(0)));
+            }
+        }
+        // Three tables in FROM (repeating one when the database has fewer).
+        5 => {
+            let mut from = tables.clone();
+            from.shuffle(rng);
+            while from.len() < 3 {
+                from.push(tables.choose(rng).expect("non-empty").clone());
+            }
+            from.truncate(3);
+            s.from = from;
+            s.joins.clear();
+            let columns = visible_columns(engine, &s.from);
+            s.where_clause =
+                rng.gen_bool(0.7).then(|| random_expression(rng, &columns, dialect, 1));
+        }
+        // A LEFT JOIN whose WHERE reads the right side, padded with NULLs
+        // where the ON condition matched no row.
+        _ => {
+            let right = tables.choose(rng).expect("non-empty").clone();
+            let right_columns = visible_columns(engine, std::slice::from_ref(&right));
+            let mut both = columns;
+            both.extend(right_columns.iter().cloned());
+            let on = random_expression(rng, &both, dialect, 1);
+            s.joins.push(Join { kind: JoinKind::Left, table: right.clone(), on: Some(on) });
+            s.where_clause = Some(match right_columns.choose(rng) {
+                Some(c) if rng.gen_bool(0.5) => Expr::qcol(right, c.meta.name.clone()).is_null(),
+                _ => random_expression(rng, &right_columns, dialect, 1),
+            });
+        }
+    }
+}
+
 /// A probe query widened with the shapes `random_probe_query` does not
-/// reach: explicit joins (all three kinds), aggregate projections,
+/// reach: the oracles' projection shapes and source shapes ([`reshape`]),
+/// or else explicit joins (all three kinds), aggregate projections,
 /// `HAVING`, and compound operators.
 fn random_differential_query(rng: &mut StdRng, engine: &Engine, gen: &GenConfig) -> Option<Query> {
     let mut q = random_probe_query(rng, engine, gen)?;
     if let Query::Select(s) = &mut q {
+        if rng.gen_bool(0.5) {
+            reshape(rng, engine, s);
+            return Some(q);
+        }
         let tables = engine.database().table_names();
         if rng.gen_bool(0.35) {
             if let Some(right) = tables.choose(rng) {
@@ -86,7 +200,7 @@ fn random_differential_query(rng: &mut StdRng, engine: &Engine, gen: &GenConfig)
             let agg = ["COUNT(*)", "SUM(c0)", "MIN(c0)", "MAX(c0)", "AVG(c0)"]
                 .choose(rng)
                 .expect("non-empty");
-            s.items = vec![lancer_sql::ast::stmt::SelectItem::Expr {
+            s.items = vec![SelectItem::Expr {
                 expr: parse_expression(agg).expect("aggregate parses"),
                 alias: None,
             }];
@@ -340,4 +454,45 @@ fn shared_aggregate_fault_fires_through_both_evaluators() {
     let faulted = vec![vec![int(36)]];
     assert_eq!(engine.execute(&Statement::Select(q.clone())).unwrap().rows, faulted);
     assert_eq!(engine.execute_query_reference(&q).unwrap().rows, faulted);
+}
+
+/// A bare column that resolves nowhere is evaluated per row, never bound
+/// ahead of time: over an empty table no dialect errors, over a non-empty
+/// one SQLite reads it as a string and the others error, in both
+/// evaluators alike.
+#[test]
+fn unresolvable_column_errors_only_when_a_row_reaches_it() {
+    for dialect in Dialect::ALL {
+        let (mut engine, _) = prepare(
+            dialect,
+            BugProfile::none(),
+            "CREATE TABLE t0(c0 INT, c1 INT);
+             CREATE TABLE t1(c0 INT);
+             INSERT INTO t0(c0, c1) VALUES (1, 2), (3, 4);",
+            "SELECT 1",
+        );
+        for (sql, rows) in [
+            ("SELECT c_nowhere FROM t1", Some(0)),
+            ("SELECT c0, c_nowhere FROM t1", Some(0)),
+            ("SELECT c_nowhere FROM t0", None),
+            ("SELECT t0.c1, c_nowhere FROM t0, t1", Some(0)),
+            ("SELECT c1, c_nowhere, c0 FROM t0", None),
+        ] {
+            let q = match lancer_sql::parse_statement(sql).unwrap() {
+                Statement::Select(q) => q,
+                other => panic!("not a query: {other:?}"),
+            };
+            let pipeline = engine.execute(&Statement::Select(q.clone()));
+            assert_eq!(pipeline, engine.execute_query_reference(&q), "{dialect:?}: {sql}");
+            match (rows, &pipeline) {
+                (Some(n), Ok(r)) => assert_eq!(r.rows.len(), n, "{dialect:?}: {sql}"),
+                (None, Ok(r)) => {
+                    assert_eq!(dialect, Dialect::Sqlite, "{sql} must error");
+                    assert!(r.rows.iter().any(|row| row.contains(&text("c_nowhere"))), "{sql}");
+                }
+                (None, Err(_)) => assert_ne!(dialect, Dialect::Sqlite, "{sql}"),
+                (Some(_), Err(e)) => panic!("{dialect:?}: {sql} errored over no row: {e:?}"),
+            }
+        }
+    }
 }

@@ -70,7 +70,7 @@ proptest! {
             let bugs = BugProfile::none();
             let engine_eval = Evaluator::new(dialect, &bugs);
             let interp = Interpreter::new(dialect);
-            let engine_result = engine_eval.eval(&expr, &schema, &row);
+            let engine_result = engine_eval.eval(&expr, &schema, row.as_slice());
             let interp_result = interp.eval(&expr, &pivot);
             match (engine_result, interp_result) {
                 (Ok(a), Ok(b)) => prop_assert!(
