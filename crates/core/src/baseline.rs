@@ -7,7 +7,7 @@ use lancer_engine::{BugProfile, Dialect, Engine};
 use lancer_sql::ast::expr::{BinaryOp, TypeName};
 use lancer_sql::ast::stmt::{Select, SelectItem, Statement, TableEngine};
 use lancer_sql::ast::{Expr, Query};
-use lancer_sql::value::Value;
+use lancer_sql::value::{ExactRow, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -166,12 +166,10 @@ pub fn run_differential(seed: u64, databases: usize, queries_per_db: usize) -> D
     report
 }
 
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<String> {
-    let mut out: Vec<String> = rows
-        .drain(..)
-        .map(|r| r.iter().map(Value::to_sql_literal).collect::<Vec<_>>().join("|"))
-        .collect();
-    out.sort();
+/// A result as a multiset: its rows sorted under the exact row order.
+fn sorted(rows: Vec<Vec<Value>>) -> Vec<ExactRow> {
+    let mut out: Vec<ExactRow> = rows.into_iter().map(ExactRow).collect();
+    out.sort_unstable();
     out
 }
 

@@ -54,8 +54,6 @@ pub mod runner;
 
 pub use gen::{GenConfig, StateGenerator, VisibleColumn};
 pub use interp::{Interpreter, PivotColumn, PivotRow};
-#[allow(deprecated)]
-pub use oracle::OracleOutcome;
 pub use oracle::{
     committed_units, norec_rewrite, norec_sum, plan_uses_index, quick_scan, rectify,
     serial_orders_match, state_digest, BugWitness, Cadence, ContainmentOracle, DetectionKind,

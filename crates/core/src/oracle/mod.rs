@@ -44,7 +44,7 @@ pub use norec::{norec_rewrite, norec_sum, plan_uses_index, random_norec_select, 
 pub use serializability::{
     committed_units, serial_orders_match, state_digest, Episode, SerializabilityOracle, StateDigest,
 };
-pub use tlp::{partition_union, partition_union_at, row_multiset, TlpOracle};
+pub use tlp::{partition_diff, TlpOracle};
 
 /// Rectifies a randomly generated expression so that it evaluates to `TRUE`
 /// for the pivot row (Algorithm 3).
@@ -183,8 +183,7 @@ impl BugWitness {
     }
 }
 
-/// What a single oracle invocation concluded — the generalization of the
-/// original containment-specific `OracleOutcome`.
+/// What a single oracle invocation concluded.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OracleReport {
     /// The check ran and found nothing suspicious.
@@ -212,11 +211,6 @@ impl OracleReport {
         }
     }
 }
-
-/// Deprecated name of [`OracleReport`], kept so downstream `use` paths keep
-/// resolving during the migration.
-#[deprecated(since = "0.1.0", note = "renamed to `OracleReport`")]
-pub type OracleOutcome = OracleReport;
 
 /// How often the campaign runner invokes an oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

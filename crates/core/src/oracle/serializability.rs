@@ -33,15 +33,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use lancer_engine::{BugProfile, Dialect, Engine};
 use lancer_sql::ast::stmt::{Statement, StatementKind};
+use lancer_sql::value::ExactRow;
 use rand::rngs::StdRng;
 
 use crate::gen::GenConfig;
 use crate::oracle::{BugWitness, Cadence, Oracle, OracleCtx, OracleReport, ReproSpec};
 
-/// A digest of the shared database state: table name → rendered rows,
-/// sorted per table so the comparison is insensitive to physical row
-/// order (serial orders insert rows in different sequences).
-pub type StateDigest = BTreeMap<String, Vec<String>>;
+/// A digest of the shared database state: table name → rows, sorted per
+/// table under the exact row order so the comparison is insensitive to
+/// physical row order (serial orders insert rows in different sequences)
+/// but tells apart values SQL equality merges, such as `1` and `1.0`.
+pub type StateDigest = BTreeMap<String, Vec<ExactRow>>;
 
 /// Digests every table's full contents in the engine's *shared* state
 /// (open transaction workspaces are invisible here, exactly as they are
@@ -50,12 +52,12 @@ pub type StateDigest = BTreeMap<String, Vec<String>>;
 pub fn state_digest(engine: &Engine) -> StateDigest {
     let mut digest = StateDigest::new();
     for name in engine.database().table_names() {
-        let mut rows: Vec<String> = engine
+        let mut rows: Vec<ExactRow> = engine
             .database()
             .table(&name)
-            .map(|t| t.rows().map(|(_, r)| format!("{r:?}")).collect())
+            .map(|t| t.rows().map(|(_, r)| ExactRow(r.to_vec())).collect())
             .unwrap_or_default();
-        rows.sort();
+        rows.sort_unstable();
         digest.insert(name, rows);
     }
     digest

@@ -9,17 +9,22 @@
 //! TLP sensitive to a different slice of the engine (predicate push-down,
 //! index selection, partial-index planning) than pivot-row containment.
 //!
+//! [`partition_diff`] compares the two sides exactly: rows match only when
+//! every value is identical under [`Value::exact_cmp`] (type tag first,
+//! `-0.0` ≠ `0.0`, all NaNs one class), not under SQL equality, where
+//! `1 = 1.0`.
+//!
 //! The oracle reuses the campaign's existing machinery end to end: table
 //! selection respects [`GenConfig::max_pivot_tables`], predicates come from
 //! [`random_expression`] (Algorithm 1), and witnesses flow through the same
 //! reduction/attribution pipeline via [`ReproSpec::PartitionMismatch`].
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 use lancer_engine::{Dialect, Engine};
 use lancer_sql::ast::stmt::{Select, SelectItem, Statement};
 use lancer_sql::ast::Expr;
-use lancer_sql::value::Value;
+use lancer_sql::value::{exact_cmp_rows, Value};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -27,69 +32,68 @@ use rand::Rng;
 use crate::gen::{random_expression, GenConfig, VisibleColumn};
 use crate::oracle::{BugWitness, Cadence, Oracle, OracleCtx, OracleReport, ReproSpec};
 
-/// Renders a row multiset as canonical-SQL-literal keys with occurrence
-/// counts.  Exact (bit-level) value identity is the right equivalence for
-/// TLP: partitions contain physical rows of the unpartitioned result, so
-/// even `0.0` / `-0.0` must match exactly.
+/// Compares an unpartitioned result with the union of its partitions as
+/// row multisets and returns `(missing, extra)`: how many rows of `whole`
+/// the union lacks, and how many rows of the union `whole` lacks.
+/// `(0, 0)` means the partitions cover the result exactly.
+///
+/// Rows match under the exact order [`exact_cmp_rows`], never SQL
+/// equality: a value matches only an identical value, so `1` and `1.0`
+/// differ (the type tag comes first), `-0.0` and `0.0` differ, and every
+/// NaN matches every other NaN.  Partitions hold physical rows of the
+/// unpartitioned result, so nothing looser is right.
+///
+/// Each partition is a filtered subsequence of the same scan, so the
+/// comparison first walks `whole` in order and pairs each row with the
+/// next unpaired row of whichever partition has an identical head; a
+/// passing check is settled in that one pass.  Only when the walk gets
+/// stuck (a partition came back reordered, say by an index probe, or the
+/// check really fails) are both sides sorted and counted in one merge.
+/// [`TlpOracle::check_once`] and the runner's reproduction checks all
+/// call this, so detection and attribution agree on every verdict.
 #[must_use]
-pub fn row_multiset(rows: &[Vec<Value>]) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
-    count_rows(rows, &mut out);
-    out
-}
-
-/// Adds one occurrence per row to `counts`.  A row's key is its values'
-/// SQL literals joined by `\u{1f}`, built in one reused buffer; only a key
-/// seen for the first time is allocated.
-fn count_rows(rows: &[Vec<Value>], counts: &mut BTreeMap<String, u64>) {
-    let mut key = String::new();
-    for row in rows {
-        key.clear();
-        for (i, v) in row.iter().enumerate() {
-            if i > 0 {
-                key.push('\u{1f}');
+pub fn partition_diff(whole: &[Vec<Value>], partitions: &[Vec<Vec<Value>>]) -> (usize, usize) {
+    // Equal sizes make a walk that pairs every row of `whole` pair every
+    // partition row too.
+    if partitions.iter().map(Vec::len).sum::<usize>() == whole.len() {
+        let mut heads = vec![0; partitions.len()];
+        let walked = whole.iter().all(|row| {
+            let paired = (0..partitions.len()).find(|&p| {
+                partitions[p].get(heads[p]).is_some_and(|head| exact_cmp_rows(head, row).is_eq())
+            });
+            if let Some(p) = paired {
+                heads[p] += 1;
             }
-            v.write_sql_literal(&mut key);
-        }
-        match counts.get_mut(key.as_str()) {
-            Some(n) => *n += 1,
-            None => {
-                counts.insert(key.clone(), 1);
-            }
+            paired.is_some()
+        });
+        if walked {
+            return (0, 0);
         }
     }
-}
-
-/// Executes the partition queries and accumulates their combined row
-/// multiset, or `None` when any partition fails to execute.  Shared by
-/// [`TlpOracle::check_once`] and the reproduction check in
-/// [`crate::runner::reproduces`], so detection and attribution always
-/// agree on what a partition union is.
-pub fn partition_union(
-    engine: &mut Engine,
-    partitions: &[Statement],
-) -> Option<BTreeMap<String, u64>> {
-    let mut union = BTreeMap::new();
-    for p in partitions {
-        count_rows(&engine.query_here(p).ok()?.rows, &mut union);
+    let sort = |rows: &mut Vec<&[Value]>| rows.sort_unstable_by(|a, b| exact_cmp_rows(a, b));
+    let mut expected: Vec<&[Value]> = whole.iter().map(Vec::as_slice).collect();
+    let mut union: Vec<&[Value]> = partitions.iter().flatten().map(Vec::as_slice).collect();
+    sort(&mut expected);
+    sort(&mut union);
+    let (mut e, mut u) = (0, 0);
+    let (mut missing, mut extra) = (0, 0);
+    while e < expected.len() && u < union.len() {
+        match exact_cmp_rows(expected[e], union[u]) {
+            Ordering::Less => {
+                missing += 1;
+                e += 1;
+            }
+            Ordering::Greater => {
+                extra += 1;
+                u += 1;
+            }
+            Ordering::Equal => {
+                e += 1;
+                u += 1;
+            }
+        }
     }
-    Some(union)
-}
-
-/// Read-only twin of [`partition_union`]: evaluates the partitions
-/// against a shared engine snapshot via [`Engine::query`], presenting
-/// the same fault-clock ordinals a mutable re-execution starting at
-/// `first_ordinal` would.  Used by the clone-free replay fast path.
-pub fn partition_union_at(
-    engine: &Engine,
-    first_ordinal: u64,
-    partitions: &[Statement],
-) -> Option<BTreeMap<String, u64>> {
-    let mut union = BTreeMap::new();
-    for (i, p) in partitions.iter().enumerate() {
-        count_rows(&engine.query(first_ordinal + i as u64, p).ok()?.rows, &mut union);
-    }
-    Some(union)
+    (missing + expected.len() - e, extra + union.len() - u)
 }
 
 /// The TLP oracle: checks that `Q ≡ Q where p ⊎ Q where NOT p ⊎ Q where p
@@ -168,21 +172,13 @@ impl TlpOracle {
         // Any execution error means the check cannot be performed — errors
         // are the error oracle's jurisdiction, not TLP's.
         let Ok(whole) = engine.query_here(&unpartitioned) else { return OracleReport::Skipped };
-        let Some(union) = partition_union(engine, &partitions) else {
-            return OracleReport::Skipped;
-        };
-        let expected = row_multiset(&whole.rows);
-        if expected == union {
+        let results: Option<Vec<_>> =
+            partitions.iter().map(|p| engine.query_here(p).ok().map(|r| r.rows)).collect();
+        let Some(results) = results else { return OracleReport::Skipped };
+        let (missing, extra) = partition_diff(&whole.rows, &results);
+        if (missing, extra) == (0, 0) {
             OracleReport::Passed
         } else {
-            let missing: u64 = expected
-                .iter()
-                .map(|(k, c)| c.saturating_sub(union.get(k).copied().unwrap_or(0)))
-                .sum();
-            let extra: u64 = union
-                .iter()
-                .map(|(k, c)| c.saturating_sub(expected.get(k).copied().unwrap_or(0)))
-                .sum();
             OracleReport::bug(BugWitness {
                 trigger: unpartitioned,
                 message: format!(
@@ -215,6 +211,7 @@ mod tests {
     use crate::gen::StateGenerator;
     use crate::oracle::DetectionKind;
     use lancer_engine::{BugId, BugProfile};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     #[test]
@@ -281,53 +278,107 @@ mod tests {
         assert!(found, "the TLP oracle should rediscover the partial-index fault");
     }
 
-    #[test]
-    fn row_multiset_counts_exact_values() {
-        let rows = vec![
-            vec![Value::Integer(1), Value::Null],
-            vec![Value::Integer(1), Value::Null],
-            vec![Value::Real(0.0)],
-            vec![Value::Real(-0.0)],
-        ];
-        let ms = row_multiset(&rows);
-        assert_eq!(ms.len(), 3, "-0.0 and 0.0 are distinct physical rows: {ms:?}");
-        assert_eq!(ms.values().sum::<u64>(), 4);
+    /// A small pool, so rows repeat, holding values only the exact order
+    /// tells apart.
+    fn value_pool() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Integer(1),
+            Value::Real(1.0),
+            Value::Real(0.0),
+            Value::Real(-0.0),
+            Value::Real(f64::NAN),
+            Value::Real(-f64::NAN),
+            Value::Text("1".into()),
+            Value::Blob(b"1".to_vec()),
+            Value::Boolean(true),
+        ]
     }
 
-    #[test]
-    fn row_multiset_keys_are_the_joined_sql_literals() {
-        // Each value with the literal `to_sql_literal` has always rendered
-        // it as; a row's key is those literals joined by U+001F.
-        let pinned: Vec<(Value, &str)> = vec![
-            (Value::Integer(i64::MIN), "(-9223372036854775807 - 1)"),
-            (Value::Integer(1 << 60), "1152921504606846976"),
-            (Value::Real(f64::NAN), "(0.0 / 0.0)"),
-            (Value::Real(f64::INFINITY), "(1e308 * 10)"),
-            (Value::Real(f64::NEG_INFINITY), "(-1e308 * 10)"),
-            (Value::Real(-0.0), "-0.0"),
-            (Value::Real(3.0), "3.0"),
-            (Value::Real(0.5), "0.5"),
-            (Value::Real(1e15), "1000000000000000"),
-            (Value::Real(2f64.powi(60)), "1152921504606847000"),
-            (Value::Text("it's\u{1f}'".into()), "'it''s\u{1f}'''"),
-            (Value::Text(String::new()), "''"),
-            (Value::Blob(vec![0x00, 0xab, 0xff]), "x'00ABFF'"),
-            (Value::Blob(Vec::new()), "x''"),
-            (Value::Boolean(true), "TRUE"),
-            (Value::Boolean(false), "FALSE"),
-            (Value::Null, "NULL"),
-        ];
-        for (value, literal) in &pinned {
-            assert_eq!(value.to_sql_literal(), *literal);
+    /// A value of another type or sign that SQL equality or a literal
+    /// rendering could confuse with `v`; a NaN becomes another NaN, which
+    /// still matches.
+    fn retyped(v: &Value) -> Value {
+        match v {
+            Value::Null => Value::Boolean(false),
+            Value::Integer(i) => Value::Real(*i as f64),
+            Value::Real(r) if r.is_nan() || *r == 0.0 => Value::Real(-r),
+            Value::Real(r) => Value::Integer(*r as i64),
+            Value::Text(t) => Value::Blob(t.clone().into_bytes()),
+            Value::Blob(b) => Value::Text(String::from_utf8_lossy(b).into_owned()),
+            Value::Boolean(b) => Value::Integer(i64::from(*b)),
         }
-        let row: Vec<Value> = pinned.iter().map(|(v, _)| v.clone()).collect();
-        let key: Vec<&str> = pinned.iter().map(|(_, l)| *l).collect();
-        let mut rows: Vec<Vec<Value>> = pinned.iter().map(|(v, _)| vec![v.clone()]).collect();
-        rows.extend([row.clone(), row, Vec::new()]);
-        let mut expected: BTreeMap<String, u64> =
-            pinned.iter().map(|(_, l)| ((*l).to_owned(), 1)).collect();
-        expected.insert(key.join("\u{1f}"), 2);
-        expected.insert(String::new(), 1);
-        assert_eq!(row_multiset(&rows), expected);
+    }
+
+    /// `(missing, extra)` by brute force: for each distinct row, the
+    /// copies on each side, counted under the exact order.
+    fn brute_force_diff(whole: &[Vec<Value>], partitions: &[Vec<Vec<Value>>]) -> (usize, usize) {
+        let union: Vec<&Vec<Value>> = partitions.iter().flatten().collect();
+        let whole: Vec<&Vec<Value>> = whole.iter().collect();
+        let copies = |rows: &[&Vec<Value>], row: &[Value]| {
+            rows.iter().filter(|r| exact_cmp_rows(r, row).is_eq()).count()
+        };
+        let mut seen: Vec<&Vec<Value>> = Vec::new();
+        let (mut missing, mut extra) = (0, 0);
+        for &row in whole.iter().chain(&union) {
+            if copies(&seen, row) == 0 {
+                seen.push(row);
+                let (w, u) = (copies(&whole, row), copies(&union, row));
+                missing += w.saturating_sub(u);
+                extra += u.saturating_sub(w);
+            }
+        }
+        (missing, extra)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// `partition_diff` agrees with brute-force counting whether the
+        /// partitions keep scan order, so the in-order walk settles the
+        /// check, or not, so the sort does: case 0 keeps them in order,
+        /// case 1 shuffles one, and cases 2–4 drop, add or retype one row.
+        #[test]
+        fn partition_diff_matches_brute_force_counting(seed in any::<u64>(), case in 0u8..5) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pool = value_pool();
+            let width = rng.gen_range(1..=2);
+            let random_row = |rng: &mut StdRng| -> Vec<Value> {
+                (0..width).map(|_| pool.choose(rng).expect("pool is non-empty").clone()).collect()
+            };
+            let rows = rng.gen_range(0..12);
+            let whole: Vec<Vec<Value>> = (0..rows).map(|_| random_row(&mut rng)).collect();
+            let mut partitions = vec![Vec::new(); 3];
+            for row in &whole {
+                partitions[rng.gen_range(0..3)].push(row.clone());
+            }
+            let part = &mut partitions[rng.gen_range(0..3)];
+            match case {
+                0 => {}
+                1 => part.shuffle(&mut rng),
+                2 if !part.is_empty() => {
+                    part.remove(rng.gen_range(0..part.len()));
+                }
+                3 => part.insert(rng.gen_range(0..=part.len()), random_row(&mut rng)),
+                4 if !part.is_empty() => {
+                    let row = rng.gen_range(0..part.len());
+                    let col = rng.gen_range(0..width);
+                    part[row][col] = retyped(&part[row][col]);
+                }
+                _ => {}
+            }
+            let expected = brute_force_diff(&whole, &partitions);
+            prop_assert_eq!(
+                partition_diff(&whole, &partitions),
+                expected,
+                "case {} over {:?} split into {:?}",
+                case,
+                whole,
+                partitions
+            );
+            if case == 0 {
+                prop_assert_eq!(expected, (0, 0));
+            }
+        }
     }
 }

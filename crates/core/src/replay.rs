@@ -37,8 +37,8 @@ use lancer_engine::{BugProfile, Dialect, Engine};
 use lancer_sql::ast::stmt::Statement;
 
 use crate::oracle::{
-    committed_units, norec_sum, partition_union, partition_union_at, row_multiset,
-    serial_orders_match, state_digest, ErrorOracle, ReproSpec,
+    committed_units, norec_sum, partition_diff, serial_orders_match, state_digest, ErrorOracle,
+    ReproSpec,
 };
 use crate::reduce::CandidateJudge;
 
@@ -409,11 +409,9 @@ pub(crate) fn confirms(
             // disagrees with the unpartitioned result; partition errors
             // mean the mismatch cannot be confirmed.
             ReproSpec::PartitionMismatch { partitions } if last.is_read_only() => {
-                let expected = row_multiset(&result.rows);
-                match partition_union(engine, partitions) {
-                    Some(union) => expected != union,
-                    None => false,
-                }
+                let results: Option<Vec<_>> =
+                    partitions.iter().map(|p| engine.query_here(p).ok().map(|r| r.rows)).collect();
+                results.is_some_and(|results| partition_diff(&result.rows, &results) != (0, 0))
             }
             // A NoREC mismatch reproduces when the optimized row count
             // still disagrees with the rewrite's sum; a rewrite error (or
@@ -480,11 +478,14 @@ pub(crate) fn confirms_readonly(
     Some(match engine.query(ordinal, last) {
         Ok(result) => match repro {
             ReproSpec::MissingRow(row) => !result.contains_row(row),
+            // The partitions see the ordinals a mutable re-execution
+            // would present them, one per partition after the trigger.
             ReproSpec::PartitionMismatch { partitions } => {
-                match partition_union_at(engine, ordinal + 1, partitions) {
-                    Some(union) => row_multiset(&result.rows) != union,
-                    None => false,
-                }
+                let results: Option<Vec<_>> = (ordinal + 1..)
+                    .zip(partitions)
+                    .map(|(at, p)| engine.query(at, p).ok().map(|r| r.rows))
+                    .collect();
+                results.is_some_and(|results| partition_diff(&result.rows, &results) != (0, 0))
             }
             ReproSpec::PairMismatch { rewritten } => match engine.query(ordinal + 1, rewritten) {
                 Ok(rewrite_result) => match norec_sum(&rewrite_result) {

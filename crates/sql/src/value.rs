@@ -31,7 +31,10 @@ pub enum Value {
 }
 
 /// The storage class of a [`Value`], mirroring SQLite's `typeof()` result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Classes order by declaration, which is the type-tag order of
+/// [`Value::exact_cmp`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum StorageClass {
     /// `NULL`.
     Null,
@@ -292,18 +295,38 @@ impl Value {
         }
     }
 
+    /// The exact total order, under which a value equals only an identical
+    /// value.  It compares the storage class first, in [`StorageClass`]
+    /// declaration order, then the payload: integers and booleans by
+    /// value, text and blobs by bytes, and reals by [`f64::total_cmp`]
+    /// (so `-0.0 < 0.0`), except that every NaN, whatever its sign or
+    /// payload, falls into one class above `+inf`.
+    ///
+    /// `==` is SQL equality ([`Value::same_as`], under which `1 = 1.0`);
+    /// result comparisons that must match physical rows, such as TLP
+    /// partitions against their unpartitioned query, use this order.
+    #[must_use]
+    pub fn exact_cmp(&self, other: &Value) -> Ordering {
+        use Value::{Blob, Boolean, Integer, Null, Real, Text};
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Integer(a), Integer(b)) => a.cmp(b),
+            (Real(a), Real(b)) => match (a.is_nan(), b.is_nan()) {
+                (false, false) => a.total_cmp(b),
+                (a_nan, b_nan) => a_nan.cmp(&b_nan),
+            },
+            (Text(a), Text(b)) => a.as_bytes().cmp(b.as_bytes()),
+            (Blob(a), Blob(b)) => a.cmp(b),
+            (Boolean(a), Boolean(b)) => a.cmp(b),
+            _ => self.storage_class().cmp(&other.storage_class()),
+        }
+    }
+
     /// Renders the value as a SQL literal that parses back to the same value.
     #[must_use]
     pub fn to_sql_literal(&self) -> String {
-        let mut literal = String::new();
-        self.write_sql_literal(&mut literal);
-        literal
-    }
-
-    /// Appends [`Value::to_sql_literal`]'s rendering to `out`, so callers
-    /// that join many literals can reuse one buffer.
-    pub fn write_sql_literal(&self, out: &mut String) {
         use std::fmt::Write;
+        let mut out = String::new();
         match self {
             Value::Null => out.push_str("NULL"),
             // `i64::MIN` cannot be written as a plain literal (its absolute
@@ -315,7 +338,7 @@ impl Value {
             Value::Real(r) if r.is_infinite() => {
                 out.push_str(if *r > 0.0 { "(1e308 * 10)" } else { "(-1e308 * 10)" });
             }
-            Value::Real(r) => write_real(out, *r),
+            Value::Real(r) => write_real(&mut out, *r),
             Value::Text(t) => {
                 out.push('\'');
                 for (i, part) in t.split('\'').enumerate() {
@@ -335,6 +358,7 @@ impl Value {
             }
             Value::Boolean(b) => out.push_str(if *b { "TRUE" } else { "FALSE" }),
         }
+        out
     }
 }
 
@@ -394,6 +418,42 @@ impl fmt::Display for Value {
             }
             Value::Boolean(b) => f.write_str(if *b { "TRUE" } else { "FALSE" }),
         }
+    }
+}
+
+/// Compares two rows value by value under [`Value::exact_cmp`]; a row
+/// that is a prefix of the other sorts first.
+#[must_use]
+pub fn exact_cmp_rows(a: &[Value], b: &[Value]) -> Ordering {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| x.exact_cmp(y))
+        .find(|o| o.is_ne())
+        .unwrap_or_else(|| a.len().cmp(&b.len()))
+}
+
+/// An owned row whose `Eq` and `Ord` are [`exact_cmp_rows`] rather than
+/// SQL equality, for sorting and comparing row multisets.
+#[derive(Debug, Clone)]
+pub struct ExactRow(pub Vec<Value>);
+
+impl PartialEq for ExactRow {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for ExactRow {}
+
+impl PartialOrd for ExactRow {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ExactRow {
+    fn cmp(&self, other: &Self) -> Ordering {
+        exact_cmp_rows(&self.0, &other.0)
     }
 }
 
@@ -602,6 +662,111 @@ mod tests {
         assert_eq!(Value::Blob(vec![0xAB, 0x01]).to_sql_literal(), "x'AB01'");
         assert_eq!(Value::Real(2.0).to_sql_literal(), "2.0");
         assert_eq!(Value::Boolean(false).to_sql_literal(), "FALSE");
+    }
+
+    #[test]
+    fn sql_literals_pin_every_edge_value() {
+        // Repros render rows as SQL literals, so each edge value keeps the
+        // literal it has always rendered as.
+        let pinned: Vec<(Value, &str)> = vec![
+            (Value::Integer(i64::MIN), "(-9223372036854775807 - 1)"),
+            (Value::Integer(1 << 60), "1152921504606846976"),
+            (Value::Real(f64::NAN), "(0.0 / 0.0)"),
+            (Value::Real(f64::INFINITY), "(1e308 * 10)"),
+            (Value::Real(f64::NEG_INFINITY), "(-1e308 * 10)"),
+            (Value::Real(-0.0), "-0.0"),
+            (Value::Real(3.0), "3.0"),
+            (Value::Real(0.5), "0.5"),
+            (Value::Real(1e15), "1000000000000000"),
+            (Value::Real(2f64.powi(60)), "1152921504606847000"),
+            (Value::Text("it's\u{1f}'".into()), "'it''s\u{1f}'''"),
+            (Value::Text(String::new()), "''"),
+            (Value::Blob(vec![0x00, 0xab, 0xff]), "x'00ABFF'"),
+            (Value::Blob(Vec::new()), "x''"),
+            (Value::Boolean(true), "TRUE"),
+            (Value::Boolean(false), "FALSE"),
+            (Value::Null, "NULL"),
+        ];
+        for (value, literal) in &pinned {
+            assert_eq!(value.to_sql_literal(), *literal);
+        }
+    }
+
+    /// Values the exact order must keep apart although their literals,
+    /// SQL equality or numeric value coincide, plus NaNs that differ in
+    /// sign or payload.
+    fn exact_order_pool() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Integer(i64::MIN),
+            Value::Integer(0),
+            Value::Integer(1),
+            Value::Integer(10i64.pow(15)),
+            Value::Integer(1 << 60),
+            Value::Real(f64::NEG_INFINITY),
+            Value::Real(-0.0),
+            Value::Real(0.0),
+            Value::Real(1.0),
+            Value::Real(1e15),
+            Value::Real(2f64.powi(60)),
+            Value::Real(f64::INFINITY),
+            Value::Real(f64::NAN),
+            Value::Real(-f64::NAN),
+            Value::Real(f64::from_bits(0x7ff8_0000_0000_0001)),
+            Value::Text(String::new()),
+            Value::Text("1".into()),
+            Value::Text("a".into()),
+            Value::Blob(Vec::new()),
+            Value::Blob(b"1".to_vec()),
+            Value::Blob(b"a".to_vec()),
+            Value::Boolean(false),
+            Value::Boolean(true),
+        ]
+    }
+
+    #[test]
+    fn exact_order_separates_what_sql_equality_and_literals_merge() {
+        let differ = |a: Value, b: Value| assert!(a.exact_cmp(&b).is_ne(), "{a:?} vs {b:?}");
+        differ(Value::Real(1e15), Value::Integer(10i64.pow(15)));
+        differ(Value::Real(2f64.powi(60)), Value::Integer(1 << 60));
+        differ(Value::Text("a".into()), Value::Blob(b"a".to_vec()));
+        differ(Value::Boolean(true), Value::Integer(1));
+        differ(Value::Real(1.0), Value::Integer(1));
+        assert_eq!(Value::Real(-0.0).exact_cmp(&Value::Real(0.0)), Ordering::Less);
+        let nans = [f64::NAN, -f64::NAN, f64::from_bits(0x7ff8_0000_0000_0001)];
+        for a in nans {
+            for b in nans {
+                assert_eq!(Value::Real(a).exact_cmp(&Value::Real(b)), Ordering::Equal);
+            }
+            assert_eq!(Value::Real(a).exact_cmp(&Value::Real(f64::INFINITY)), Ordering::Greater);
+        }
+        assert_eq!(
+            exact_cmp_rows(&[Value::Integer(1)], &[Value::Integer(1), Value::Null]),
+            Ordering::Less
+        );
+        assert_ne!(ExactRow(vec![Value::Integer(1)]), ExactRow(vec![Value::Real(1.0)]));
+    }
+
+    #[test]
+    fn exact_order_is_a_total_order_over_the_pool() {
+        let pool = exact_order_pool();
+        let is_nan = |v: &Value| matches!(v, Value::Real(r) if r.is_nan());
+        for (i, a) in pool.iter().enumerate() {
+            for (j, b) in pool.iter().enumerate() {
+                let ab = a.exact_cmp(b);
+                assert_eq!(ab, b.exact_cmp(a).reverse(), "{a:?} vs {b:?} is not antisymmetric");
+                // Every pool entry is distinct except the NaNs.
+                assert_eq!(ab.is_eq(), i == j || (is_nan(a) && is_nan(b)), "{a:?} vs {b:?}");
+                for c in &pool {
+                    if ab.is_le() && b.exact_cmp(c).is_le() {
+                        assert!(
+                            a.exact_cmp(c).is_le(),
+                            "{a:?} <= {b:?} <= {c:?} is not transitive"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
