@@ -20,6 +20,12 @@
 //! — candidates are index subsets, so reduction never re-renders,
 //! re-parses or re-clones a statement.
 //!
+//! A cache serves one generated database: detections of different
+//! databases share no generation log, so the campaign runner
+//! [`clear`](ReplayCache::clear)s it before it triages the next
+//! database's detections, and the snapshot bound caps the memory of one
+//! database's replays.
+//!
 //! Correctness is bit-for-bit: an engine snapshot taken after executing a
 //! prefix on a fresh engine *is* the state a full replay would reach
 //! (statement atomicity means failed setup statements leave the database
@@ -43,7 +49,8 @@ use crate::oracle::{
 use crate::reduce::CandidateJudge;
 
 /// Memoized engine snapshots keyed by fault profile and statement-log
-/// prefix, shared across every replay of a campaign's post-processing.
+/// prefix, shared across every replay of one generated database's
+/// detections.
 #[derive(Debug)]
 pub struct ReplayCache {
     dialect: Dialect,
@@ -94,11 +101,13 @@ pub struct ReplayCacheStats {
 }
 
 impl ReplayCache {
-    /// Default bound on retained snapshots.  Generation logs are small
-    /// (tens of statements over tiny databases), so even the bound's
-    /// worst case is a few megabytes; once full, the cache keeps the
-    /// entries it has — the earliest-inserted prefixes are the shared
-    /// generation logs, which are exactly the most valuable ones.
+    /// Default bound on retained snapshots, a memory cap for the replays
+    /// of one generated database.  Generation logs are small (tens of
+    /// statements over tiny databases), so even the bound's worst case is
+    /// a few megabytes; once full, the cache keeps the entries it has
+    /// until [`clear`](ReplayCache::clear) drops them.  A cache shared by
+    /// several databases would spend the bound on the first databases'
+    /// prefixes, which later databases hardly ever reuse.
     const DEFAULT_MAX_SNAPSHOTS: usize = 4096;
 
     /// Creates a cache for replays against the given dialect.
@@ -137,6 +146,16 @@ impl ReplayCache {
     #[must_use]
     pub fn snapshot_count(&self) -> usize {
         self.snapshots.len()
+    }
+
+    /// Drops every snapshot, seen prefix and memoized verdict, keeping the
+    /// work counters.  The campaign runner calls it between generated
+    /// databases, which share no generation log.  Verdicts are unaffected;
+    /// only the cost of later replays changes.
+    pub fn clear(&mut self) {
+        self.snapshots.clear();
+        self.seen.clear();
+        self.verdicts.clear();
     }
 
     /// Cached equivalent of [`crate::runner::reproduces`]: same verdict,
@@ -676,6 +695,32 @@ mod tests {
         assert_eq!(cache.snapshot_count(), before, "a new profile starts cold");
         let _ = cache.reproduces("containment", &all, &stmts, &repro_b);
         assert_eq!(cache.snapshot_count(), before * 2, "distinct profile, distinct prefixes");
+    }
+
+    #[test]
+    fn clearing_drops_cached_state_but_keeps_the_counters() {
+        let stmts = script("CREATE TABLE t0(c0); INSERT INTO t0(c0) VALUES (1); SELECT * FROM t0;");
+        let mut cache = ReplayCache::new(Dialect::Sqlite);
+        let none = BugProfile::none();
+        let repro_a = ReproSpec::MissingRow(vec![Value::Integer(1)]);
+        let repro_b = ReproSpec::MissingRow(vec![Value::Integer(2)]);
+        // Mark, snapshot, then a verdict-memo hit.
+        assert!(!cache.reproduces("containment", &none, &stmts, &repro_a));
+        assert!(cache.reproduces("containment", &none, &stmts, &repro_b));
+        assert!(cache.reproduces("containment", &none, &stmts, &repro_b));
+        assert!(cache.snapshot_count() > 0);
+        let before = cache.stats();
+        assert_eq!(before.verdict_hits, 1);
+        cache.clear();
+        assert_eq!(cache.snapshot_count(), 0);
+        assert_eq!(cache.stats(), before, "clearing keeps the counters");
+        // Nothing cached survives: the repeat replays from a fresh engine,
+        // and its walk only marks the prefixes seen again.
+        assert!(cache.reproduces("containment", &none, &stmts, &repro_b));
+        let after = cache.stats();
+        assert_eq!(after.verdict_hits, before.verdict_hits, "the verdict memo was dropped");
+        assert_eq!(after.prefix_misses, before.prefix_misses + 1, "the snapshots were dropped");
+        assert_eq!(cache.snapshot_count(), 0, "the seen prefixes were dropped");
     }
 
     #[test]

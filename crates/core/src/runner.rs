@@ -477,7 +477,8 @@ impl Campaign {
         let started = Instant::now();
         let profile = self.profile();
         let threads = self.threads.max(1);
-        let mut raw: Vec<Detection> = Vec::new();
+        // Raw detections grouped by generated database, in worker order.
+        let mut raw: Vec<Vec<Detection>> = Vec::new();
         let mut stats = CampaignStats::default();
         let mut coverage = lancer_engine::Coverage::new();
 
@@ -488,20 +489,18 @@ impl Campaign {
         // counter stats instead of doubled ones.
         let counter_baseline: Vec<Vec<(&'static str, u64)>> =
             self.oracles.iter().map(|o| o.counters()).collect();
-        let results: Vec<(Vec<Detection>, CampaignStats, lancer_engine::Coverage, PlanCoverage)> =
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let profile = profile.clone();
-                    // The first `databases % threads` workers take one
-                    // extra database, so the split sums to `databases`.
-                    let databases =
-                        self.databases / threads + usize::from(t < self.databases % threads);
-                    handles
-                        .push(scope.spawn(move || self.run_worker(&profile, t as u64, databases)));
-                }
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            });
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for t in 0..threads {
+                let profile = profile.clone();
+                // The first `databases % threads` workers take one
+                // extra database, so the split sums to `databases`.
+                let databases =
+                    self.databases / threads + usize::from(t < self.databases % threads);
+                handles.push(scope.spawn(move || self.run_worker(&profile, t as u64, databases)));
+            }
+            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        });
         let mut plan_coverage = PlanCoverage::new();
         for (mut detections, s, c, p) in results {
             raw.append(&mut detections);
@@ -557,12 +556,15 @@ impl Campaign {
         // presence never changes the other columns of Table 3.
         //
         // Every replay here — the spurious filter, each delta-debugging
-        // candidate, each per-fault attribution run — goes through one
+        // candidate, each per-fault attribution run — goes through a
         // [`ReplayCache`]: candidates are index subsets of the detection
         // log, and a replay resumes from the deepest snapshot whose
-        // statement-log prefix it shares (detections from the same
-        // generated database share their whole generation log).  Verdicts
-        // are bit-identical to fresh replays; only the cost changes.
+        // statement-log prefix it shares.  Detections from the same
+        // generated database share their whole generation log, those of
+        // different databases share none, so the cache is cleared before
+        // each database's detections and its snapshot bound is spent on
+        // prefixes that can still recur.  Verdicts are bit-identical to
+        // fresh replays; only the cost changes.
         let mut cache = ReplayCache::new(self.dialect);
         // Copy-on-write and rewind counters are cumulative thread-locals;
         // sample them around the post-processing loop so the runner's own
@@ -573,113 +575,119 @@ impl Campaign {
         let mut seen: BTreeMap<&'static str, BTreeSet<BugId>> = BTreeMap::new();
         let none = BugProfile::none();
         let mut reduction_totals = ReductionStats::default();
-        for detection in raw {
-            let mut session =
-                ReplaySession::new(&mut cache, detection.oracle, &detection.statements);
-            // Discard detections that also "reproduce" without any fault:
-            // those indicate oracle divergence, the analogue of a false bug
-            // report.
-            if session.reproduces_all(&none, &detection.repro) {
-                stats.spurious += 1;
-                continue;
-            }
-            if !session.reproduces_all(&profile, &detection.repro) {
-                // Not deterministic enough to analyse (e.g. depends on
-                // statement counters); skip rather than misattribute.
-                stats.unattributed += 1;
-                continue;
-            }
-            // The reduction predicate is differential: the candidate must
-            // still fail with the faults enabled *and* pass on the
-            // fault-free engine.  Without the second condition the reducer
-            // could drop the statements that make the pivot row exist in
-            // the first place (or shrink an expression until the query
-            // fails everywhere).  Candidates that orphan half of a
-            // BEGIN/COMMIT/ROLLBACK pair are rejected up front: reduced
-            // multi-session scripts keep transactions whole or drop them
-            // whole (trivially true for transaction-free logs).
-            let statement_stage = {
-                let judge = DifferentialJudge::new(
-                    &mut cache,
-                    detection.oracle,
-                    &profile,
-                    &detection.repro,
-                );
-                let options = ReduceOptions { expression_pass: false, ..self.reduction.clone() };
-                reduce_hierarchical(&detection.statements, &options, &judge)
-            };
-            let mut detection_stats = statement_stage.stats;
-            let statement_reduced = statement_stage.statements;
-            // Attribution runs over the statement-level reduction, before
-            // any expression rewriting: which bugs a detection witnesses
-            // must not depend on how aggressively its predicates are
-            // shrunk afterwards.
-            let mut session = ReplaySession::new(&mut cache, detection.oracle, &statement_reduced);
-            let domain_seen = seen.entry(detection.kind().dedup_domain()).or_default();
-            let mut attributed: Vec<BugId> = Vec::new();
-            for bug in profile.iter() {
-                if domain_seen.contains(&bug) {
+        for database in raw {
+            cache.clear();
+            for detection in database {
+                let mut session =
+                    ReplaySession::new(&mut cache, detection.oracle, &detection.statements);
+                // Discard detections that also "reproduce" without any fault:
+                // those indicate oracle divergence, the analogue of a false bug
+                // report.
+                if session.reproduces_all(&none, &detection.repro) {
+                    stats.spurious += 1;
                     continue;
                 }
-                let single = BugProfile::with(&[bug]);
-                if session.reproduces_all(&single, &detection.repro) {
-                    attributed.push(bug);
+                if !session.reproduces_all(&profile, &detection.repro) {
+                    // Not deterministic enough to analyse (e.g. depends on
+                    // statement counters); skip rather than misattribute.
+                    stats.unreproducible += 1;
+                    continue;
                 }
-            }
-            if attributed.is_empty() {
-                reduction_totals.absorb(&detection_stats);
-                stats.unattributed += 1;
-                continue;
-            }
-            // The expression pass then shrinks the surviving statements
-            // with every attributed single-fault profile pinned into the
-            // judge, so the final repro still witnesses each reported bug
-            // on its own.
-            let reduced = if self.reduction.expression_pass {
-                let expr_stage = {
-                    let mut judge = DifferentialJudge::new(
+                // The reduction predicate is differential: the candidate must
+                // still fail with the faults enabled *and* pass on the
+                // fault-free engine.  Without the second condition the reducer
+                // could drop the statements that make the pivot row exist in
+                // the first place (or shrink an expression until the query
+                // fails everywhere).  Candidates that orphan half of a
+                // BEGIN/COMMIT/ROLLBACK pair are rejected up front: reduced
+                // multi-session scripts keep transactions whole or drop them
+                // whole (trivially true for transaction-free logs).
+                let statement_stage = {
+                    let judge = DifferentialJudge::new(
                         &mut cache,
                         detection.oracle,
                         &profile,
                         &detection.repro,
                     );
-                    for &bug in &attributed {
-                        judge = judge.require(BugProfile::with(&[bug]));
-                    }
-                    let options = ReduceOptions {
-                        session_pass: false,
-                        statement_pass: false,
-                        ..ReduceOptions::default()
-                    };
-                    reduce_hierarchical(&statement_reduced, &options, &judge)
+                    let options =
+                        ReduceOptions { expression_pass: false, ..self.reduction.clone() };
+                    reduce_hierarchical(&detection.statements, &options, &judge)
                 };
-                detection_stats.statement_candidates += expr_stage.stats.statement_candidates;
-                detection_stats.expression_candidates += expr_stage.stats.expression_candidates;
-                detection_stats.memo_hits += expr_stage.stats.memo_hits;
-                detection_stats.wall_ms += expr_stage.stats.wall_ms;
-                detection_stats.expr_nodes_after = expr_stage.stats.expr_nodes_after;
-                expr_stage.statements
-            } else {
-                statement_reduced
-            };
-            reduction_totals.absorb(&detection_stats);
-            for bug in attributed {
-                domain_seen.insert(bug);
-                found.push(FoundBug {
-                    id: bug,
-                    kind: detection.kind(),
-                    oracle: detection.oracle.to_owned(),
-                    status: bug.info().status,
-                    reduced_sql: reduced.iter().map(ToString::to_string).collect(),
-                    statement_kinds: reduced.iter().map(|s| s.kind()).collect(),
-                    message: detection.message.clone(),
-                });
+                let mut detection_stats = statement_stage.stats;
+                let statement_reduced = statement_stage.statements;
+                // Attribution runs over the statement-level reduction, before
+                // any expression rewriting: which bugs a detection witnesses
+                // must not depend on how aggressively its predicates are
+                // shrunk afterwards.
+                let mut session =
+                    ReplaySession::new(&mut cache, detection.oracle, &statement_reduced);
+                let domain_seen = seen.entry(detection.kind().dedup_domain()).or_default();
+                let mut attributed: Vec<BugId> = Vec::new();
+                for bug in profile.iter() {
+                    if domain_seen.contains(&bug) {
+                        continue;
+                    }
+                    let single = BugProfile::with(&[bug]);
+                    if session.reproduces_all(&single, &detection.repro) {
+                        attributed.push(bug);
+                    }
+                }
+                if attributed.is_empty() {
+                    reduction_totals.absorb(&detection_stats);
+                    stats.duplicates += 1;
+                    continue;
+                }
+                // The expression pass then shrinks the surviving statements
+                // with every attributed single-fault profile pinned into the
+                // judge, so the final repro still witnesses each reported bug
+                // on its own.
+                let reduced = if self.reduction.expression_pass {
+                    let expr_stage = {
+                        let mut judge = DifferentialJudge::new(
+                            &mut cache,
+                            detection.oracle,
+                            &profile,
+                            &detection.repro,
+                        );
+                        for &bug in &attributed {
+                            judge = judge.require(BugProfile::with(&[bug]));
+                        }
+                        let options = ReduceOptions {
+                            session_pass: false,
+                            statement_pass: false,
+                            ..ReduceOptions::default()
+                        };
+                        reduce_hierarchical(&statement_reduced, &options, &judge)
+                    };
+                    detection_stats.statement_candidates += expr_stage.stats.statement_candidates;
+                    detection_stats.expression_candidates += expr_stage.stats.expression_candidates;
+                    detection_stats.memo_hits += expr_stage.stats.memo_hits;
+                    detection_stats.wall_ms += expr_stage.stats.wall_ms;
+                    detection_stats.expr_nodes_after = expr_stage.stats.expr_nodes_after;
+                    expr_stage.statements
+                } else {
+                    statement_reduced
+                };
+                reduction_totals.absorb(&detection_stats);
+                for bug in attributed {
+                    domain_seen.insert(bug);
+                    found.push(FoundBug {
+                        id: bug,
+                        kind: detection.kind(),
+                        oracle: detection.oracle.to_owned(),
+                        status: bug.info().status,
+                        reduced_sql: reduced.iter().map(ToString::to_string).collect(),
+                        statement_kinds: reduced.iter().map(|s| s.kind()).collect(),
+                        message: detection.message.clone(),
+                    });
+                }
             }
         }
         let cow = lancer_storage::cow_stats().since(cow_before);
         stats.cow_table_copies += cow.table_copies;
         stats.cow_row_block_copies += cow.row_block_copies;
         stats.workspace_rewinds += lancer_engine::workspace_rewinds() - rewinds_before;
+        stats.unattributed = stats.unreproducible + stats.duplicates;
         let replay = cache.stats();
         stats.replay_statements_executed = replay.statements_replayed;
         stats.replay_statements_skipped = replay.statements_skipped;
@@ -718,7 +726,7 @@ impl Campaign {
         profile: &BugProfile,
         worker: u64,
         databases: usize,
-    ) -> (Vec<Detection>, CampaignStats, lancer_engine::Coverage, PlanCoverage) {
+    ) -> (Vec<Vec<Detection>>, CampaignStats, lancer_engine::Coverage, PlanCoverage) {
         let worker_seed = self.seed ^ (worker.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut rng = StdRng::seed_from_u64(worker_seed);
         // Derived-stream oracles get substreams keyed by `(seed, worker,
@@ -758,12 +766,15 @@ impl Campaign {
                 StdRng::seed_from_u64(worker_seed ^ fnv1a("qpg-mutate")),
             )
         });
+        // One entry per generated database, so triage can scope its
+        // replay cache to one database's detections.
         let mut detections = Vec::new();
         let mut stats = CampaignStats::default();
         let mut coverage = lancer_engine::Coverage::new();
         let cow_before = lancer_storage::cow_stats();
         let rewinds_before = lancer_engine::workspace_rewinds();
         for _ in 0..databases {
+            let mut database_detections = Vec::new();
             let mut engine = Engine::with_bugs(self.dialect, profile.clone());
             let mut generator = StateGenerator::new(self.dialect, self.gen.clone());
             let (mut log, mut failures) = generator.generate_database(&mut rng, &mut engine);
@@ -813,7 +824,7 @@ impl Campaign {
                         }
                         let mut statements = log.clone();
                         statements.push(witness.trigger.clone());
-                        detections.push(Detection {
+                        database_detections.push(Detection {
                             oracle: oracle.name(),
                             message: witness.message.clone(),
                             statements,
@@ -849,6 +860,7 @@ impl Campaign {
             }
             stats.statements_executed += engine.statements_executed();
             coverage.merge(engine.coverage());
+            detections.push(database_detections);
         }
         let cow = lancer_storage::cow_stats().since(cow_before);
         stats.cow_table_copies = cow.table_copies;
@@ -911,8 +923,16 @@ pub struct CampaignStats {
     /// Detections that also reproduce with every fault disabled (oracle
     /// divergence); they are discarded, mirroring false bug reports.
     pub spurious: u64,
-    /// Detections that could not be attributed to a single fault.
+    /// Non-spurious detections that attribute no new bug:
+    /// `unreproducible + duplicates`.
     pub unattributed: u64,
+    /// Detections that do not reproduce when their log is replayed with
+    /// every fault enabled (the trigger depends on more than the log).
+    pub unreproducible: u64,
+    /// Reduced detections that no single fault outside their dedup
+    /// domain's reported set reproduces: a bug found before, or one that
+    /// needs several faults at once.
+    pub duplicates: u64,
     /// Distinct plan fingerprints observed across all workers (0 unless
     /// plan observation or guidance is enabled).
     pub unique_plans: u64,

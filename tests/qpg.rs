@@ -49,6 +49,7 @@ fn plan_guidance_off_is_bit_identical() {
     assert_eq!((s.statements_executed, s.queries_checked, s.containment_violations), (284, 240, 3));
     assert_eq!((s.unexpected_errors, s.crashes, s.tlp_violations), (24, 3, 0));
     assert_eq!((s.spurious, s.unattributed), (1, 26));
+    assert_eq!((s.unreproducible, s.duplicates), (0, 26), "unattributed is their sum");
     assert_eq!((s.unique_plans, s.plan_mutations), (0, 0), "QPG counters stay zero by default");
     let ids: Vec<(BugId, DetectionKind)> = report.found.iter().map(|f| (f.id, f.kind)).collect();
     assert_eq!(

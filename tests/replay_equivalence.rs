@@ -15,6 +15,8 @@
 //!     `execute_at` presents the statement-counter sequence a fresh
 //!     engine would see (counter-keyed faults fire identically),
 //! (c) cached replay verdicts equal the uncached `reproduces` reference,
+//!     whether one cache serves several generated databases or is cleared
+//!     between them,
 //! (d) hierarchical reduction over the replay cache returns the same
 //!     repro as reduction over an uncached judge,
 //! (e) a database clone is genuinely isolated: mutating the original
@@ -155,28 +157,55 @@ proptest! {
     }
 
     /// (c) Cached replay verdicts ≡ the uncached `reproduces` reference,
-    /// including repeats that hit snapshots and the verdict memo.
+    /// including repeats that hit snapshots and the verdict memo.  The
+    /// questions of two or three generated databases go to one shared
+    /// cache and to one cleared whenever the next question is about
+    /// another database (the campaign runner's per-database scope).  They
+    /// come database by database (each database's questions in a row:
+    /// mark, snapshot, resume), then again with the databases alternating
+    /// at every question.
     #[test]
     fn cached_verdicts_match_uncached(
         seed in any::<u64>(),
         dialect_idx in 0usize..4,
         faults in any::<bool>(),
+        databases in 2usize..=3,
     ) {
         let dialect = Dialect::ALL[dialect_idx];
         let profile = profile_for(dialect, faults);
-        let log = generate_log(seed, dialect, &profile);
-        let mut cache = ReplayCache::new(dialect);
-        for row in [vec![Value::Integer(1)], vec![Value::Null], vec![Value::Integer(-7)]] {
-            let repro = ReproSpec::MissingRow(row);
-            let uncached = reproduces(dialect, &profile, &log, &repro);
-            // Three walks: mark, snapshot, resume — every tier must agree.
-            for _ in 0..3 {
+        let logs: Vec<Vec<Statement>> = (0..databases as u64)
+            .map(|db| generate_log(seed.wrapping_add(db), dialect, &profile))
+            .collect();
+        let repros: Vec<ReproSpec> =
+            [Value::Integer(1), Value::Null, Value::Integer(-7), Value::Text("a".into())]
+                .into_iter()
+                .map(|v| ReproSpec::MissingRow(vec![v]))
+                .collect();
+        let uncached: Vec<Vec<bool>> = logs
+            .iter()
+            .map(|log| repros.iter().map(|r| reproduces(dialect, &profile, log, r)).collect())
+            .collect();
+        let by_database = (0..databases).flat_map(|db| (0..repros.len()).map(move |r| (db, r)));
+        let alternating = (0..repros.len()).flat_map(|r| (0..databases).map(move |db| (db, r)));
+        let mut shared = ReplayCache::new(dialect);
+        let mut scoped = ReplayCache::new(dialect);
+        let mut scoped_database = None;
+        for (db, r) in by_database.chain(alternating) {
+            if scoped_database != Some(db) {
+                scoped.clear();
+                scoped_database = Some(db);
+            }
+            let (log, repro) = (&logs[db], &repros[r]);
+            for (name, cache) in [("shared", &mut shared), ("scoped", &mut scoped)] {
                 prop_assert_eq!(
-                    cache.reproduces("containment", &profile, &log, &repro),
-                    uncached,
-                    "{:?} faults={}",
+                    cache.reproduces("containment", &profile, log, repro),
+                    uncached[db][r],
+                    "{} cache, {:?} faults={} database={} repro={}",
+                    name,
                     dialect,
-                    faults
+                    faults,
+                    db,
+                    r
                 );
             }
         }
