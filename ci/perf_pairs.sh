@@ -20,6 +20,17 @@
 # statistics), how many pairs the change won, and whether the median gain
 # exceeds the base side's interquartile range.
 #
+# This is also the CI perf gate.  After the summary the script exits 1,
+# with one line per offending metric naming the workload and the metric,
+# when an end-to-end metric's change median is worse than its base median
+# by more than that metric's BENCHMARK.json `bound` (a fraction of the
+# base median) and the change lost more than half of the pairs on it
+# (ties count for neither side).  When <base-rev> and the working tree
+# differ under perfbench/ or in BENCHMARK.json, the two sides run
+# different benchmarks: every run must still be correct, but instead of
+# the summary the script says that the comparison does not apply, and it
+# gives no verdict.
+#
 # Defaults: seed 24301 (perfbench's default seed, 0x5EED), 10 pairs,
 # 60 seconds per run.  Each run's JSON line is appended to
 # $PERF_PAIRS_DIR/runs.jsonl and its standard error to
@@ -80,6 +91,13 @@ for ((pair = 1; pair <= pairs; pair++)); do
     fi
 done
 
+if ! git -C "$repo" diff --quiet "$base_rev" -- perfbench BENCHMARK.json; then
+    echo "perf gate: perfbench/ or BENCHMARK.json differ between $base_rev and the" \
+        "working tree, so the comparison does not apply; every $workload run was" \
+        "correct, no verdict"
+    exit 0
+fi
+
 python3 - "$repo/BENCHMARK.json" "$runs" "$base_rev" "$workload" "$seed" <<'EOF'
 import json
 import sys
@@ -106,6 +124,7 @@ def quartiles(xs):
 
 print(f"{workload} at seed {seed}: {base_rev} (base) vs working tree (change), "
       f"{len(values)} pairs")
+regressions = []
 for metric in metrics:
     name, higher = metric["name"], metric["better"] == "higher"
     pairs = sorted(values.items())
@@ -123,4 +142,15 @@ for metric in metrics:
     verdict = "exceeds" if gain > iqr else "does not exceed"
     print(f"  change won {wins} of {len(base)}; median gain {gain:.6g} {verdict} "
           f"the base IQR {iqr:.6g}")
+    losses = sum(c < b if higher else c > b for b, c in zip(base, change))
+    worse = -gain / bq[1]
+    if worse > metric["bound"] and losses > len(base) / 2:
+        regressions.append(
+            f"perf gate: {workload} {name} regressed: change median {cq[1]:.6g} is "
+            f"{worse:.1%} worse than base median {bq[1]:.6g} (bound {metric['bound']:.0%}), "
+            f"and the change lost {losses} of {len(base)} pairs")
+
+for line in regressions:
+    print(line)
+sys.exit(1 if regressions else 0)
 EOF

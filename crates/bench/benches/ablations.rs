@@ -1,7 +1,7 @@
-//! Ablation benchmarks for the design decisions called out in DESIGN.md §5:
+//! Ablation benchmarks for three design decisions of the paper:
 //!
-//! 1. rectification vs rejection sampling of non-TRUE conditions,
-//! 2. pivot-row containment vs whole-result checking,
+//! 1. rectification vs rejection sampling of non-TRUE conditions (§3.2),
+//! 2. pivot-row containment vs whole-result checking (§3.1),
 //! 3. the 10–30 row budget (§3.4) vs larger tables.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

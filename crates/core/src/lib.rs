@@ -62,8 +62,8 @@ pub use oracle::{
 };
 pub use qpg::{PlanCoverage, PlanGuide, QpgConfig};
 pub use reduce::{
-    reduce_hierarchical, reduce_indices, reduce_statements, transactions_well_formed,
-    CandidateJudge, FnJudge, ReduceOptions, Reduction, ReductionStats,
+    reduce_hierarchical, transactions_well_formed, CandidateJudge, FnJudge, ReduceOptions,
+    Reduction, ReductionStats,
 };
 pub use replay::{DifferentialJudge, ReplayCache, ReplayCacheStats, ReplaySession};
 pub use runner::{

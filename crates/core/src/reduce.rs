@@ -59,85 +59,6 @@ where
     open.is_empty()
 }
 
-/// Reduces a failing statement sequence while `still_fails` holds.
-///
-/// The predicate receives a candidate statement sequence and must return
-/// `true` iff the bug still reproduces.  The input sequence itself must
-/// satisfy the predicate; otherwise it is returned unchanged.
-pub fn reduce_statements(
-    statements: &[Statement],
-    still_fails: &dyn Fn(&[Statement]) -> bool,
-) -> Vec<Statement> {
-    let mut scratch: Vec<Statement> = Vec::with_capacity(statements.len());
-    let kept = reduce_indices(statements.len(), &mut |keep| {
-        scratch.clear();
-        scratch.extend(keep.iter().map(|&i| statements[i].clone()));
-        still_fails(&scratch)
-    });
-    kept.into_iter().map(|i| statements[i].clone()).collect()
-}
-
-/// The delta-debugging core, phrased over *indices* into an immutable
-/// statement log: candidates are ascending index subsets, so callers that
-/// can check a candidate without materialising it (the runner's
-/// [`crate::replay::ReplaySession`]) never clone a statement per attempt.
-///
-/// Explores the candidate sequence the statement-level reducer always
-/// has — greedy chunk deletion with halving chunk sizes — but memoizes
-/// asked index-sets: ddmin re-tries identical subsets across outer
-/// rounds (most blatantly the final no-change sweep, which re-asks every
-/// candidate against the settled sequence), and the predicate is assumed
-/// deterministic, so a repeated subset is answered without calling
-/// `still_fails` again.  Reduction results are unchanged, only their
-/// cost.
-pub fn reduce_indices(len: usize, still_fails: &mut dyn FnMut(&[usize]) -> bool) -> Vec<usize> {
-    let mut memo: HashMap<Vec<usize>, bool> = HashMap::new();
-    let mut ask = |keep: &[usize], still_fails: &mut dyn FnMut(&[usize]) -> bool| -> bool {
-        if let Some(&verdict) = memo.get(keep) {
-            return verdict;
-        }
-        let verdict = still_fails(keep);
-        memo.insert(keep.to_vec(), verdict);
-        verdict
-    };
-    let mut current: Vec<usize> = (0..len).collect();
-    if !ask(&current, still_fails) {
-        return current;
-    }
-    let mut chunk = (current.len() / 2).max(1);
-    loop {
-        let mut changed = false;
-        while chunk >= 1 {
-            let mut i = 0;
-            while i < current.len() {
-                if current.len() <= 1 {
-                    break;
-                }
-                let end = (i + chunk).min(current.len());
-                let mut candidate = Vec::with_capacity(current.len() - (end - i));
-                candidate.extend_from_slice(&current[..i]);
-                candidate.extend_from_slice(&current[end..]);
-                if !candidate.is_empty() && ask(&candidate, still_fails) {
-                    current = candidate;
-                    changed = true;
-                    // Do not advance: the next chunk now sits at index i.
-                } else {
-                    i += 1;
-                }
-            }
-            if chunk == 1 {
-                break;
-            }
-            chunk = (chunk / 2).max(1);
-        }
-        if !changed {
-            break;
-        }
-        chunk = (current.len() / 2).max(1);
-    }
-    current
-}
-
 /// Judges whether a reduction candidate still reproduces the failure.
 ///
 /// `hashes` holds the replay-layer hash of each statement in `stmts`, in
@@ -277,8 +198,7 @@ const MEMO_SEED: u64 = 0x5245_4455_4345_3038;
 /// statement log.
 ///
 /// The input must satisfy `judge` (and the [`transactions_well_formed`]
-/// guard); otherwise it is returned unchanged, like
-/// [`reduce_statements`].
+/// guard); otherwise it is returned unchanged.
 #[must_use]
 pub fn reduce_hierarchical(
     statements: &[Statement],
@@ -450,7 +370,7 @@ fn run_reduction(
     let mut kept: Vec<usize> = (0..statements.len()).collect();
 
     // The input must fail (and be well-formed); otherwise hand it back
-    // unchanged, like the statement-level reducer always has.
+    // unchanged.
     let input_fails = ctx
         .first_passing(
             1,
@@ -608,6 +528,23 @@ mod tests {
     use super::*;
     use lancer_sql::parser::parse_script;
 
+    /// Statement-level ddmin over `stmts`, judged by `still_fails`.
+    fn ddmin(stmts: &[Statement], still_fails: impl Fn(&[&Statement]) -> bool) -> Reduction {
+        reduce_hierarchical(stmts, &ReduceOptions::statement_only(), &FnJudge(still_fails))
+    }
+
+    fn rendered(stmts: &[Statement]) -> Vec<String> {
+        stmts.iter().map(ToString::to_string).collect()
+    }
+
+    /// The "bug" reproduces whenever the test case still creates t0 and
+    /// selects from it.
+    fn creates_t0_and_selects(candidate: &[&Statement]) -> bool {
+        let sql: Vec<String> = candidate.iter().map(ToString::to_string).collect();
+        sql.iter().any(|s| s.starts_with("CREATE TABLE t0"))
+            && sql.iter().any(|s| s.starts_with("SELECT"))
+    }
+
     #[test]
     fn reduces_to_the_necessary_statements() {
         let stmts = parse_script(
@@ -619,29 +556,30 @@ mod tests {
              SELECT * FROM t0;",
         )
         .unwrap();
-        // The "bug" reproduces whenever the test case still creates t0 and
-        // selects from it.
-        let predicate = |candidate: &[Statement]| {
-            let sql: Vec<String> = candidate.iter().map(ToString::to_string).collect();
-            sql.iter().any(|s| s.starts_with("CREATE TABLE t0"))
-                && sql.iter().any(|s| s.starts_with("SELECT"))
-        };
-        let reduced = reduce_statements(&stmts, &predicate);
-        assert_eq!(reduced.len(), 2, "only CREATE TABLE t0 and SELECT are needed: {reduced:?}");
+        let reduced = ddmin(&stmts, creates_t0_and_selects);
+        assert_eq!(
+            rendered(&reduced.statements),
+            ["CREATE TABLE t0(c0)", "SELECT * FROM t0"],
+            "only CREATE TABLE t0 and SELECT are needed"
+        );
+        assert_eq!(reduced.stats.statements_before, 6);
+        assert_eq!(reduced.stats.statements_after, 2);
+        // Statement-only reduction runs no expression pass.
+        assert_eq!(reduced.stats.expr_nodes_after, reduced.stats.expr_nodes_after_statements);
     }
 
     #[test]
     fn returns_input_when_not_failing() {
         let stmts = parse_script("SELECT 1; SELECT 2;").unwrap();
-        let reduced = reduce_statements(&stmts, &|_| false);
-        assert_eq!(reduced.len(), 2);
+        let reduced = ddmin(&stmts, |_| false);
+        assert_eq!(rendered(&reduced.statements), rendered(&stmts));
     }
 
     #[test]
     fn never_returns_empty() {
         let stmts = parse_script("SELECT 1; SELECT 2; SELECT 3;").unwrap();
-        let reduced = reduce_statements(&stmts, &|_| true);
-        assert_eq!(reduced.len(), 1);
+        let reduced = ddmin(&stmts, |_| true);
+        assert_eq!(reduced.statements.len(), 1);
     }
 
     #[test]
@@ -671,11 +609,12 @@ mod tests {
 
     #[test]
     fn guarded_reduction_never_orphans_transaction_pairs() {
-        // Reducing with the well-formedness guard (the runner's setup)
-        // must keep every surviving BEGIN with its terminator — here the
-        // "bug" only needs the INSERT, so the whole bracket around it has
-        // to survive as a unit while the other session's bracket drops as
-        // a unit.
+        // Statement-level ddmin alone (no session pass) must keep every
+        // surviving BEGIN with its terminator — here the "bug" only needs
+        // the INSERT, so the whole bracket around it has to survive as a
+        // unit while the other session's DML goes.  The judge does not
+        // check brackets itself: the reducer's guard must never ask it an
+        // ill-formed candidate.
         let stmts = parse_script(
             "CREATE TABLE t0(c0);
              SESSION 1; BEGIN; INSERT INTO t0(c0) VALUES (1);
@@ -684,51 +623,17 @@ mod tests {
              SELECT * FROM t0;",
         )
         .unwrap();
-        let keep = reduce_indices(stmts.len(), &mut |keep| {
-            let candidate: Vec<&Statement> = keep.iter().map(|&i| &stmts[i]).collect();
-            transactions_well_formed(candidate.iter().copied())
-                && candidate.iter().any(|s| s.to_string().contains("VALUES (1)"))
+        let reduced = ddmin(&stmts, |candidate| {
+            assert!(transactions_well_formed(candidate.iter().copied()), "{candidate:?}");
+            candidate.iter().any(|s| s.to_string().contains("VALUES (1)"))
         });
-        let reduced: Vec<&Statement> = keep.iter().map(|&i| &stmts[i]).collect();
-        assert!(transactions_well_formed(reduced.iter().copied()));
-        assert!(reduced.iter().any(|s| s.to_string().contains("VALUES (1)")));
-        let rendered: Vec<String> = reduced.iter().map(ToString::to_string).collect();
+        assert!(transactions_well_formed(&reduced.statements));
+        let rendered = rendered(&reduced.statements);
+        assert!(rendered.iter().any(|s| s.contains("VALUES (1)")), "{rendered:?}");
         assert!(
             !rendered.iter().any(|s| s.contains("VALUES (2)")),
             "the other session's DML is unnecessary: {rendered:?}"
         );
-    }
-
-    #[test]
-    fn index_reduction_explores_the_same_candidates() {
-        // The index-level reducer must visit the exact candidate sequence
-        // the statement-level API does (the statement API is now a shim
-        // over it, but this pins the equivalence observably).
-        let stmts = parse_script(
-            "CREATE TABLE t0(c0);
-             CREATE TABLE t1(c0);
-             INSERT INTO t0(c0) VALUES (1);
-             ANALYZE;
-             SELECT * FROM t0;",
-        )
-        .unwrap();
-        let predicate = |candidate: &[Statement]| {
-            let sql: Vec<String> = candidate.iter().map(ToString::to_string).collect();
-            sql.iter().any(|s| s.starts_with("CREATE TABLE t0"))
-                && sql.iter().any(|s| s.starts_with("SELECT"))
-        };
-        let by_statements = reduce_statements(&stmts, &predicate);
-        let by_indices = reduce_indices(stmts.len(), &mut |keep| {
-            let candidate: Vec<Statement> = keep.iter().map(|&i| stmts[i].clone()).collect();
-            predicate(&candidate)
-        });
-        let from_indices: Vec<Statement> =
-            by_indices.into_iter().map(|i| stmts[i].clone()).collect();
-        assert_eq!(
-            by_statements.iter().map(ToString::to_string).collect::<Vec<_>>(),
-            from_indices.iter().map(ToString::to_string).collect::<Vec<_>>()
-        );
-        assert_eq!(by_statements.len(), 2);
     }
 
     #[test]
@@ -746,47 +651,17 @@ mod tests {
              SELECT * FROM t0;",
         )
         .unwrap();
-        let mut asked: Vec<Vec<usize>> = Vec::new();
-        let _ = reduce_indices(stmts.len(), &mut |keep| {
-            asked.push(keep.to_vec());
-            let sql: Vec<String> = keep.iter().map(|&i| stmts[i].to_string()).collect();
-            sql.iter().any(|s| s.starts_with("CREATE TABLE t0"))
-                && sql.iter().any(|s| s.starts_with("SELECT"))
+        let asked: std::cell::RefCell<Vec<Vec<String>>> = std::cell::RefCell::default();
+        let reduced = ddmin(&stmts, |candidate| {
+            asked.borrow_mut().push(candidate.iter().map(ToString::to_string).collect());
+            creates_t0_and_selects(candidate)
         });
-        let distinct: std::collections::HashSet<&Vec<usize>> = asked.iter().collect();
+        let asked = asked.into_inner();
+        let distinct: std::collections::HashSet<&Vec<String>> = asked.iter().collect();
         assert_eq!(asked.len(), distinct.len(), "a subset was re-asked: {asked:?}");
         assert_eq!(asked.len(), 8, "candidate-evaluation count drifted: {asked:?}");
-    }
-
-    #[test]
-    fn hierarchical_statement_only_matches_the_legacy_reducer() {
-        let stmts = parse_script(
-            "CREATE TABLE t0(c0);
-             CREATE TABLE t1(c0);
-             INSERT INTO t0(c0) VALUES (1);
-             INSERT INTO t1(c0) VALUES (2);
-             ANALYZE;
-             SELECT * FROM t0;",
-        )
-        .unwrap();
-        let predicate = |candidate: &[&Statement]| {
-            let sql: Vec<String> = candidate.iter().map(ToString::to_string).collect();
-            sql.iter().any(|s| s.starts_with("CREATE TABLE t0"))
-                && sql.iter().any(|s| s.starts_with("SELECT"))
-        };
-        let legacy = reduce_statements(&stmts, &|candidate: &[Statement]| {
-            let refs: Vec<&Statement> = candidate.iter().collect();
-            predicate(&refs)
-        });
-        let hier =
-            reduce_hierarchical(&stmts, &ReduceOptions::statement_only(), &FnJudge(predicate));
-        assert_eq!(
-            hier.statements.iter().map(ToString::to_string).collect::<Vec<_>>(),
-            legacy.iter().map(ToString::to_string).collect::<Vec<_>>()
-        );
-        assert_eq!(hier.stats.statements_before, 6);
-        assert_eq!(hier.stats.statements_after, 2);
-        assert_eq!(hier.stats.expr_nodes_after, hier.stats.expr_nodes_after_statements);
+        assert_eq!(reduced.stats.statement_candidates, 8);
+        assert!(reduced.stats.memo_hits > 0, "{:?}", reduced.stats);
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //! structurally), so resuming costs reference-count bumps; the resumed
 //! candidate deep-copies only the tables its suffix actually writes,
 //! never the whole database.  [`ReplaySession`] binds the cache to one
-//! detection's parsed statement log, hashing each statement exactly once
-//! — candidates are index subsets, so reduction never re-renders,
-//! re-parses or re-clones a statement.
+//! detection's parsed statement log, hashing each statement exactly once,
+//! for the whole-log questions (the spurious filter, the reproduction
+//! check, attribution); reduction candidates reach the cache through
+//! [`DifferentialJudge`] with the hashes the reducer computed once per
+//! log, so reduction never re-renders, re-parses or re-clones a
+//! statement.
 //!
 //! A cache serves one generated database: detections of different
 //! databases share no generation log, so the campaign runner
@@ -329,9 +332,9 @@ impl CandidateJudge for DifferentialJudge<'_> {
     }
 }
 
-/// One detection's statement log bound to a [`ReplayCache`]: statements
-/// are hashed once, and every reduction/attribution candidate is just an
-/// index subset of the log.
+/// One detection's statement log bound to a [`ReplayCache`], with each
+/// statement hashed once, for the questions the runner asks of a whole
+/// log under different fault profiles.
 #[derive(Debug)]
 pub struct ReplaySession<'a> {
     cache: &'a mut ReplayCache,
@@ -366,24 +369,8 @@ impl<'a> ReplaySession<'a> {
         self.statements.is_empty()
     }
 
-    /// Checks whether the subsequence of the log selected by `keep`
-    /// (indices in ascending order) still reproduces the detection under
-    /// `profile` — the cached equivalent of building the candidate
-    /// statement vector and calling [`crate::runner::reproduces`].
-    #[must_use]
-    pub fn reproduces_subset(
-        &mut self,
-        profile: &BugProfile,
-        keep: &[usize],
-        repro: &ReproSpec,
-    ) -> bool {
-        let stmts: Vec<&Statement> = keep.iter().map(|&i| &self.statements[i]).collect();
-        let hashes: Vec<u64> = keep.iter().map(|&i| self.hashes[i]).collect();
-        self.cache.reproduces_refs(self.oracle, profile, &stmts, &hashes, repro)
-    }
-
-    /// [`reproduces_subset`](ReplaySession::reproduces_subset) over the
-    /// whole log.
+    /// Checks whether the whole log still reproduces the detection under
+    /// `profile`: the cached equivalent of [`crate::runner::reproduces`].
     #[must_use]
     pub fn reproduces_all(&mut self, profile: &BugProfile, repro: &ReproSpec) -> bool {
         let stmts: Vec<&Statement> = self.statements.iter().collect();
@@ -663,17 +650,18 @@ mod tests {
         assert_eq!(session.cache.snapshot_count(), 0, "cold prefixes are not snapshotted");
         assert!(session.reproduces_all(&none, &repro_b));
         assert!(session.cache.snapshot_count() > 0, "recurring prefixes are snapshotted");
-        let executed_full = session.cache.stats().statements_replayed;
+        let executed_full = cache.stats().statements_replayed;
         // Dropping statement 3 keeps the prefix [0, 1, 2] cached: only the
         // trigger runs again, no setup statement is re-executed.
-        assert!(!session.reproduces_subset(&none, &[0, 1, 2, 4], &repro_a));
-        let stats = session.cache.stats();
+        let subset: Vec<Statement> = [0, 1, 2, 4].iter().map(|&i| stmts[i].clone()).collect();
+        assert!(!cache.reproduces("containment", &none, &subset, &repro_a));
+        let stats = cache.stats();
         assert_eq!(stats.statements_replayed, executed_full, "suffix-only replay");
         assert_eq!(stats.statements_skipped, 3);
         // The same question again is answered from the verdict memo.
-        assert!(!session.reproduces_subset(&none, &[0, 1, 2, 4], &repro_a));
-        assert_eq!(session.cache.stats().statements_replayed, executed_full);
-        assert!(session.cache.stats().verdict_hits > 0);
+        assert!(!cache.reproduces("containment", &none, &subset, &repro_a));
+        assert_eq!(cache.stats().statements_replayed, executed_full);
+        assert!(cache.stats().verdict_hits > 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ```
 
 use lancer_core::{
-    reduce_hierarchical, reduce_statements, runner::reproduces, DifferentialJudge, ReduceOptions,
+    reduce_hierarchical, runner::reproduces, DifferentialJudge, FnJudge, ReduceOptions,
     ReplayCache, ReproSpec,
 };
 use lancer_engine::{BugId, BugProfile, Dialect};
@@ -49,7 +49,13 @@ fn main() {
     };
     assert!(fails(&statements), "the full script must reproduce the fault");
 
-    let reduced = reduce_statements(&statements, &fails);
+    // Stage one: statement-level delta debugging alone, each candidate
+    // replayed from scratch on fresh engines.
+    let judge = FnJudge(|candidate: &[&lancer_sql::Statement]| {
+        fails(&candidate.iter().map(|&s| s.clone()).collect::<Vec<_>>())
+    });
+    let reduced =
+        reduce_hierarchical(&statements, &ReduceOptions::statement_only(), &judge).statements;
     println!("original test case: {} statements", statements.len());
     println!("statement-level ddmin: {} statements", reduced.len());
     assert!(reduced.len() < statements.len());

@@ -6,8 +6,8 @@
 //! what a human re-running the reported SQL would see).
 
 use lancer_core::{
-    reduce_indices, reproduces, transactions_well_formed, Campaign, ReplayCache, ReplaySession,
-    ReproSpec,
+    reduce_hierarchical, reproduces, transactions_well_formed, Campaign, DifferentialJudge,
+    ReduceOptions, ReplayCache, ReplaySession, ReproSpec,
 };
 use lancer_engine::{BugId, BugProfile, Dialect};
 use lancer_sql::ast::Statement;
@@ -60,21 +60,30 @@ fn cached_and_uncached_txn_replays_reach_the_same_verdict() {
 
 #[test]
 fn guarded_reduction_of_txn_scripts_round_trips() {
-    // Reduce the handcrafted episode exactly the way the runner does —
-    // through a ReplaySession with the well-formedness guard — then replay
-    // the reduced script uncached and check it still reproduces.
+    // Reduce the handcrafted episode exactly the way the runner's statement
+    // stage does — a DifferentialJudge over the replay cache, every phase
+    // but the expression pass, candidates guarded by well-formedness —
+    // then replay the reduced script uncached and check it still
+    // reproduces.
     let stmts = torn_rollback_script();
     let faulty = BugProfile::with(&[BugId::SqliteTornRollbackIndexed]);
     let clean = BugProfile::none();
     let repro = ReproSpec::SerialDivergence;
     let mut cache = ReplayCache::new(Dialect::Sqlite);
-    let mut session = ReplaySession::new(&mut cache, "serializability", &stmts);
-    let keep = reduce_indices(stmts.len(), &mut |keep| {
-        transactions_well_formed(keep.iter().map(|&i| &stmts[i]))
-            && session.reproduces_subset(&faulty, keep, &repro)
-            && !session.reproduces_subset(&clean, keep, &repro)
-    });
-    let reduced: Vec<Statement> = keep.iter().map(|&i| stmts[i].clone()).collect();
+    let judge = DifferentialJudge::new(&mut cache, "serializability", &faulty, &repro);
+    let options = ReduceOptions { expression_pass: false, ..ReduceOptions::default() };
+    let reduced = reduce_hierarchical(&stmts, &options, &judge).statements;
+    assert_eq!(
+        reduced.iter().map(ToString::to_string).collect::<Vec<_>>(),
+        [
+            "CREATE TABLE t0(c0)",
+            "CREATE INDEX i0 ON t0(c0)",
+            "BEGIN",
+            "INSERT INTO t0(c0) VALUES (2)",
+            "ROLLBACK"
+        ],
+        "the torn rollback needs only the indexed table and the rolled-back insert"
+    );
     assert!(
         transactions_well_formed(&reduced),
         "reduction orphaned a transaction bracket: {reduced:?}"
