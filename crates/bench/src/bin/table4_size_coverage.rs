@@ -2,8 +2,8 @@
 //! tested databases", plus the coverage SQLancer reaches on each DBMS.
 //!
 //! LOC are measured over this workspace; coverage is the engine's
-//! feature-point coverage reached by the campaign (the gcov substitute
-//! documented in DESIGN.md).
+//! feature-point coverage reached by the campaign, the gcov substitute
+//! that `lancer-engine`'s `coverage` module documents.
 
 use lancer_bench::{dump_json, loc_census, print_table, run_all_campaigns, ReportOptions};
 use lancer_engine::Dialect;

@@ -1,9 +1,10 @@
 //! # lancer-bench
 //!
 //! The benchmark harness and report generators that regenerate every table
-//! and figure of the paper's evaluation section (see DESIGN.md §3 for the
-//! per-experiment index).  Each `src/bin/*` binary prints the paper's
-//! reported rows next to the rows measured on this reproduction.
+//! and figure of the paper's evaluation section (the README's "Paper
+//! figures and benchmarks" section lists how to run them).  Each
+//! `src/bin/*` binary prints the paper's reported rows next to the rows
+//! measured on this reproduction.
 
 #![warn(missing_docs)]
 

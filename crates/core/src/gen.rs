@@ -281,7 +281,9 @@ fn random_predicate<R: Rng>(
     }
 }
 
-fn random_like_pattern<R: Rng>(rng: &mut R) -> String {
+/// A random `LIKE` pattern of one or two parts: letters of both cases,
+/// wildcards, and a trailing escape character.
+pub fn random_like_pattern<R: Rng>(rng: &mut R) -> String {
     let parts = ["a", "A", "%", "_", "b", "./", "", "ab%", "%b", "a\\"];
     let n = rng.gen_range(1..=2);
     (0..n).map(|_| *parts.choose(rng).expect("non-empty")).collect()

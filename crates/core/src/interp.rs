@@ -603,7 +603,8 @@ fn compare(a: &Value, b: &Value, collation: Collation) -> Option<std::cmp::Order
 
 /// A deliberately simple LIKE matcher (the paper notes the SQLancer LIKE
 /// implementation is ~50 LOC; ours is smaller because it skips ESCAPE).
-fn simple_like(pattern: &str, text: &str, case_sensitive: bool) -> bool {
+/// Public so that tests can hold the engine's matcher to it.
+pub fn simple_like(pattern: &str, text: &str, case_sensitive: bool) -> bool {
     let (p, t) = if case_sensitive {
         (pattern.chars().collect::<Vec<_>>(), text.chars().collect::<Vec<_>>())
     } else {

@@ -177,7 +177,7 @@ pub fn serial_orders_match(
     if episode.committed.len() > 4 {
         return (true, 0);
     }
-    let mut engine = Engine::with_bugs(dialect, bugs.clone());
+    let mut engine = Engine::with_bugs(dialect, *bugs);
     for stmt in &episode.prefix {
         let _ = engine.execute(stmt);
     }
@@ -244,7 +244,7 @@ impl SerializabilityOracle {
         }
         let Some(episode) = committed_units(log) else { return OracleReport::Skipped };
         let bugs = engine.bugs();
-        let mut replay = Engine::with_bugs(self.dialect, bugs.clone());
+        let mut replay = Engine::with_bugs(self.dialect, *bugs);
         for stmt in log {
             let _ = replay.execute(stmt);
         }

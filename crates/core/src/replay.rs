@@ -230,7 +230,7 @@ impl ReplayCache {
             }
         }
         let mut engine = match start {
-            0 => Engine::with_bugs(self.dialect, profile.clone()),
+            0 => Engine::with_bugs(self.dialect, *profile),
             _ => Engine::clone(&self.snapshots[&keys[start]]),
         };
         let mut taken = Vec::new();

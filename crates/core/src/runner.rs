@@ -467,7 +467,7 @@ impl Campaign {
     }
 
     fn profile(&self) -> BugProfile {
-        self.bugs.clone().unwrap_or_else(|| BugProfile::all_for(self.dialect))
+        self.bugs.unwrap_or_else(|| BugProfile::all_for(self.dialect))
     }
 
     /// Runs the campaign: generation, oracle checks, reduction and
@@ -492,7 +492,6 @@ impl Campaign {
         let results: Vec<_> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..threads {
-                let profile = profile.clone();
                 // The first `databases % threads` workers take one
                 // extra database, so the split sums to `databases`.
                 let databases =
@@ -775,7 +774,7 @@ impl Campaign {
         let rewinds_before = lancer_engine::workspace_rewinds();
         for _ in 0..databases {
             let mut database_detections = Vec::new();
-            let mut engine = Engine::with_bugs(self.dialect, profile.clone());
+            let mut engine = Engine::with_bugs(self.dialect, *profile);
             let mut generator = StateGenerator::new(self.dialect, self.gen.clone());
             let (mut log, mut failures) = generator.generate_database(&mut rng, &mut engine);
             if self.multi_session {
@@ -1224,7 +1223,7 @@ pub fn reproduces(
     if statements.is_empty() {
         return false;
     }
-    let mut engine = Engine::with_bugs(dialect, profile.clone());
+    let mut engine = Engine::with_bugs(dialect, *profile);
     let (setup, last) = statements.split_at(statements.len() - 1);
     for stmt in setup {
         // Setup statements may legitimately fail after reduction removed

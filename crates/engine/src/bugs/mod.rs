@@ -15,8 +15,6 @@
 //! where each fault manifests.  With an empty profile the engine is
 //! reference-correct, which the cross-crate property tests rely on.
 
-use std::collections::BTreeSet;
-
 use serde::{Deserialize, Serialize};
 
 use crate::dialect::Dialect;
@@ -392,10 +390,23 @@ impl BugId {
     }
 }
 
-/// The set of faults enabled in an engine instance.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// The set of faults enabled in an engine instance: one bit per
+/// [`BugId`], in declaration order.  `is_enabled` is a mask test and the
+/// profile is `Copy`, so an engine clone (every replay snapshot) and an
+/// evaluator copy it for free.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct BugProfile {
-    enabled: BTreeSet<BugId>,
+    enabled: u64,
+}
+
+// Every fault needs its own bit.
+const _: () = assert!(BugId::ALL.len() <= 64);
+
+impl BugId {
+    /// The fault's bit in a [`BugProfile`].
+    fn bit(self) -> u64 {
+        1 << self as u32
+    }
 }
 
 impl BugProfile {
@@ -409,46 +420,54 @@ impl BugProfile {
     /// configuration used by the evaluation campaigns.
     #[must_use]
     pub fn all_for(dialect: Dialect) -> BugProfile {
-        BugProfile { enabled: BugId::for_dialect(dialect).into_iter().collect() }
+        BugProfile::with(&BugId::for_dialect(dialect))
     }
 
     /// A profile with exactly the given faults.
     #[must_use]
     pub fn with(bugs: &[BugId]) -> BugProfile {
-        BugProfile { enabled: bugs.iter().copied().collect() }
+        BugProfile { enabled: bugs.iter().fold(0, |set, b| set | b.bit()) }
     }
 
     /// Enables a fault.
     pub fn enable(&mut self, bug: BugId) {
-        self.enabled.insert(bug);
+        self.enabled |= bug.bit();
     }
 
     /// Disables a fault.
     pub fn disable(&mut self, bug: BugId) {
-        self.enabled.remove(&bug);
+        self.enabled &= !bug.bit();
     }
 
     /// Returns `true` if the fault is enabled.
     #[must_use]
     pub fn is_enabled(&self, bug: BugId) -> bool {
-        self.enabled.contains(&bug)
+        self.enabled & bug.bit() != 0
     }
 
     /// Number of enabled faults.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.enabled.len()
+        self.enabled.count_ones() as usize
     }
 
     /// Returns `true` if no fault is enabled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.enabled.is_empty()
+        self.enabled == 0
     }
 
-    /// Iterates over the enabled faults.
+    /// Iterates over the enabled faults in [`BugId`] declaration order
+    /// (the order attribution tries them in).
     pub fn iter(&self) -> impl Iterator<Item = BugId> + '_ {
-        self.enabled.iter().copied()
+        BugId::ALL.iter().copied().filter(|b| self.is_enabled(*b))
+    }
+}
+
+/// Lists the enabled faults as a set.
+impl std::fmt::Debug for BugProfile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -507,6 +526,25 @@ mod tests {
         let all = BugProfile::all_for(Dialect::Sqlite);
         assert_eq!(all.len(), BugId::for_dialect(Dialect::Sqlite).len());
         assert!(all.iter().all(|b| b.info().dialect == Dialect::Sqlite));
+        assert_eq!(
+            format!(
+                "{:?}",
+                BugProfile::with(&[BugId::MysqlLostUpdate, BugId::SqliteSkipScanDistinct])
+            ),
+            "{SqliteSkipScanDistinct, MysqlLostUpdate}"
+        );
+    }
+
+    #[test]
+    fn profiles_iterate_in_declaration_order() {
+        for d in Dialect::ALL {
+            let expected: Vec<BugId> =
+                BugId::ALL.iter().copied().filter(|b| b.info().dialect == d).collect();
+            assert_eq!(BugProfile::all_for(d).iter().collect::<Vec<_>>(), expected, "{d:?}");
+        }
+        let everything = BugProfile::with(BugId::ALL);
+        assert_eq!(everything.iter().collect::<Vec<_>>(), BugId::ALL);
+        assert_eq!(everything.len(), BugId::ALL.len());
     }
 
     #[test]

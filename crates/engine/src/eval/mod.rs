@@ -6,14 +6,31 @@
 //! interpreter lives in `lancer-core::interp` and is an independent
 //! implementation of the same semantics — divergence between the two (with
 //! all faults disabled) would be a bug in this reproduction and is guarded
-//! against by cross-crate property tests.
+//! against by cross-crate property tests.  The interpreter resolves names
+//! itself, so it also checks this module's binder.
+//!
+//! **Bind once, evaluate by reference.**  Evaluation has two steps.
+//! [`Evaluator::bind`] turns an [`Expr`] into a [`BoundExpr`] of the same
+//! shape against one [`RowSchema`]: each column reference becomes its flat
+//! index, collation and declared type, and each comparison records its
+//! collation and its operands' declared types, so no name is looked up
+//! per row.  [`Evaluator::eval_bound`] then evaluates the bound tree
+//! against a [`RowView`] and returns a `Cow<Value>`: column and literal
+//! leaves come back borrowed from the row and the tree, and `LIKE` matches
+//! borrowed text.  Values are cloned only where they are kept: in an
+//! output row, an aggregate input or an index key.  Every per-row loop in
+//! the executor binds once per query or statement; [`Evaluator::eval`]
+//! (bind, then evaluate) is for one-shot callers.
+
+use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering;
 
 use lancer_sql::ast::expr::{AggFunc, BinaryOp, ColumnRef, Expr, ScalarFunc, TypeName, UnaryOp};
 use lancer_sql::collation::Collation;
 use lancer_sql::value::{
     real_to_int_saturating, text_integer_prefix, text_numeric_prefix, TriBool, Value,
 };
-use lancer_storage::schema::ColumnMeta;
+use lancer_storage::schema::{ColumnMeta, TableSchema};
 
 use crate::bugs::{BugId, BugProfile};
 use crate::dialect::Dialect;
@@ -40,6 +57,11 @@ impl RowSchema {
     #[must_use]
     pub fn single(source: SourceSchema) -> RowSchema {
         RowSchema { sources: vec![source] }
+    }
+
+    /// The schema of one table's rows.
+    pub(crate) fn of_table(table: &TableSchema) -> RowSchema {
+        RowSchema::single(SourceSchema { name: table.name.clone(), columns: table.columns.clone() })
     }
 
     /// An empty schema (for constant expressions).
@@ -69,6 +91,14 @@ impl RowSchema {
             offset += source.columns.len();
         }
         None
+    }
+
+    /// Every column in order, each as a bound column leaf (what `*`
+    /// projects).
+    pub(crate) fn column_leaves<'e>(&self) -> impl Iterator<Item = BoundExpr<'e>> + '_ {
+        self.sources.iter().flat_map(|s| &s.columns).enumerate().map(|(index, meta)| {
+            BoundExpr::Column { index, collation: meta.collation, type_name: meta.type_name }
+        })
     }
 
     /// All (source, column) pairs flattened, for `SELECT *` projection.
@@ -104,25 +134,317 @@ impl<T: RowView + ?Sized> RowView for &T {
     }
 }
 
-/// Dialect-aware expression evaluator over a single (joined) row.
+/// An expression bound to one [`RowSchema`] by [`Evaluator::bind`].
+///
+/// The tree has the AST's shape, node for node and in the same order, so
+/// the fault hooks that inspect shape (a nested `NOT`, a `LIKE` over a
+/// column) see what they would see on the AST.  Binding resolves every
+/// name once: a column leaf carries its flat index, collation and declared
+/// type, and a comparison carries the collation it compares under and the
+/// declared types of its operands.  Literals are borrowed from the AST.
 #[derive(Debug, Clone)]
-pub struct Evaluator<'a> {
+pub enum BoundExpr<'e> {
+    /// A literal: borrowed from the AST, or owned when a rewrite made it.
+    Literal(Cow<'e, Value>),
+    /// A column reference that resolves.
+    Column {
+        /// The column's flat index in the (joined) row.
+        index: usize,
+        /// The column's collation.
+        collation: Collation,
+        /// The column's declared type.
+        type_name: Option<TypeName>,
+    },
+    /// A column reference that resolves nowhere.  It acts only when a row
+    /// reaches it: SQLite reads an unqualified name as a string (its
+    /// double-quoted-string fallback, Listing 8), any other case errors.
+    Unresolved(&'e ColumnRef),
+    /// A unary operator.
+    Unary {
+        /// The operator.
+        op: UnaryOp,
+        /// The operand.
+        expr: Box<BoundExpr<'e>>,
+    },
+    /// A binary operator.
+    Binary {
+        /// The operator.
+        op: BinaryOp,
+        /// The left operand.
+        left: Box<BoundExpr<'e>>,
+        /// The right operand.
+        right: Box<BoundExpr<'e>>,
+        /// The collation a comparison of the operands uses.
+        collation: Collation,
+        /// The declared types of the left and right operands (`None`
+        /// unless an operand is a column, seen through `CAST`/`COLLATE`).
+        types: [Option<TypeName>; 2],
+    },
+    /// `expr [NOT] LIKE pattern`.
+    Like {
+        /// `NOT LIKE`.
+        negated: bool,
+        /// The matched value.
+        expr: Box<BoundExpr<'e>>,
+        /// The pattern.
+        pattern: Box<BoundExpr<'e>>,
+        /// The pattern's text when the pattern is a non-NULL literal.
+        pattern_text: Option<Cow<'e, str>>,
+    },
+    /// `expr [NOT] BETWEEN low AND high`.
+    Between {
+        /// `NOT BETWEEN`.
+        negated: bool,
+        /// The tested value.
+        expr: Box<BoundExpr<'e>>,
+        /// The lower bound.
+        low: Box<BoundExpr<'e>>,
+        /// The upper bound.
+        high: Box<BoundExpr<'e>>,
+        /// The collation of `expr`, which both comparisons use.
+        collation: Collation,
+    },
+    /// `expr [NOT] IN (list)`.
+    InList {
+        /// `NOT IN`.
+        negated: bool,
+        /// The tested value.
+        expr: Box<BoundExpr<'e>>,
+        /// The list items.
+        list: Vec<BoundExpr<'e>>,
+        /// The collation of `expr`, which every comparison uses.
+        collation: Collation,
+    },
+    /// `expr IS [NOT] NULL`.
+    IsNull {
+        /// `IS NOT NULL`.
+        negated: bool,
+        /// The tested value.
+        expr: Box<BoundExpr<'e>>,
+    },
+    /// `CAST(expr AS type_name)`.
+    Cast {
+        /// The operand.
+        expr: Box<BoundExpr<'e>>,
+        /// The target type.
+        type_name: TypeName,
+    },
+    /// `CASE [operand] WHEN .. THEN .. [ELSE ..] END`.
+    Case {
+        /// The operand of a simple `CASE`.
+        operand: Option<Box<BoundExpr<'e>>>,
+        /// The `(WHEN, THEN)` pairs.
+        branches: Vec<(BoundExpr<'e>, BoundExpr<'e>)>,
+        /// The `ELSE` branch.
+        else_expr: Option<Box<BoundExpr<'e>>>,
+        /// The collation of the operand, which every `WHEN` comparison
+        /// uses (`BINARY` without an operand).
+        collation: Collation,
+    },
+    /// A scalar function call.
+    Function {
+        /// The function.
+        func: ScalarFunc,
+        /// The arguments.
+        args: Vec<BoundExpr<'e>>,
+    },
+    /// An aggregate call, which is an error when a row reaches it (the
+    /// aggregate executor folds aggregates itself).
+    Aggregate {
+        /// The argument (`None` for `COUNT(*)`).
+        arg: Option<Box<BoundExpr<'e>>>,
+    },
+    /// `expr COLLATE collation`.
+    Collate {
+        /// The operand.
+        expr: Box<BoundExpr<'e>>,
+        /// The collation.
+        collation: Collation,
+    },
+}
+
+impl<'e> BoundExpr<'e> {
+    /// The collation governing comparisons over this expression.
+    pub(crate) fn collation(&self) -> Collation {
+        match self {
+            BoundExpr::Collate { collation, .. } | BoundExpr::Column { collation, .. } => {
+                *collation
+            }
+            BoundExpr::Unary { expr, .. } | BoundExpr::Cast { expr, .. } => expr.collation(),
+            BoundExpr::Binary { op: BinaryOp::Concat, left, right, .. } => {
+                let l = left.collation();
+                if l != Collation::Binary {
+                    l
+                } else {
+                    right.collation()
+                }
+            }
+            _ => Collation::Binary,
+        }
+    }
+
+    /// The declared type of a column-reference expression, if it is one.
+    fn column_type(&self) -> Option<TypeName> {
+        match self {
+            BoundExpr::Column { type_name, .. } => *type_name,
+            BoundExpr::Collate { expr, .. } | BoundExpr::Cast { expr, .. } => expr.column_type(),
+            _ => None,
+        }
+    }
+
+    /// Calls `f` on each direct child, in the order of
+    /// [`Expr::for_each_child`].
+    pub fn for_each_child(&self, f: &mut impl FnMut(&BoundExpr<'e>)) {
+        match self {
+            BoundExpr::Literal(_) | BoundExpr::Column { .. } | BoundExpr::Unresolved(_) => {}
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::Cast { expr, .. }
+            | BoundExpr::Collate { expr, .. } => f(expr),
+            BoundExpr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            BoundExpr::Like { expr, pattern, .. } => {
+                f(expr);
+                f(pattern);
+            }
+            BoundExpr::Between { expr, low, high, .. } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            BoundExpr::Case { operand, branches, else_expr, .. } => {
+                if let Some(op) = operand {
+                    f(op);
+                }
+                for (w, t) in branches {
+                    f(w);
+                    f(t);
+                }
+                if let Some(e) = else_expr {
+                    f(e);
+                }
+            }
+            BoundExpr::Function { args, .. } => args.iter().for_each(f),
+            BoundExpr::Aggregate { arg } => {
+                if let Some(a) = arg {
+                    f(a);
+                }
+            }
+        }
+    }
+}
+
+/// Dialect-aware expression evaluator over a single (joined) row.
+#[derive(Debug, Clone, Copy)]
+pub struct Evaluator {
     /// The SQL dialect being emulated.
     pub dialect: Dialect,
     /// The enabled fault profile.
-    pub bugs: &'a BugProfile,
+    pub bugs: BugProfile,
     /// Whether `LIKE` is case sensitive (SQLite `PRAGMA case_sensitive_like`).
     pub case_sensitive_like: bool,
 }
 
-impl<'a> Evaluator<'a> {
+impl Evaluator {
     /// Creates an evaluator.
     #[must_use]
-    pub fn new(dialect: Dialect, bugs: &'a BugProfile) -> Evaluator<'a> {
-        Evaluator { dialect, bugs, case_sensitive_like: false }
+    pub fn new(dialect: Dialect, bugs: &BugProfile) -> Evaluator {
+        Evaluator { dialect, bugs: *bugs, case_sensitive_like: false }
     }
 
-    /// Evaluates an expression to a value.
+    /// Binds an expression to a row schema (see [`BoundExpr`]).  A loop
+    /// over rows binds once and evaluates each row with
+    /// [`Evaluator::eval_bound`].
+    #[must_use]
+    pub fn bind<'e>(&self, expr: &'e Expr, schema: &RowSchema) -> BoundExpr<'e> {
+        let bind = |e: &'e Expr| Box::new(self.bind(e, schema));
+        match expr {
+            Expr::Literal(v) => BoundExpr::Literal(Cow::Borrowed(v)),
+            Expr::Column(c) => match schema.resolve(c) {
+                Some((index, meta)) => BoundExpr::Column {
+                    index,
+                    collation: meta.collation,
+                    type_name: meta.type_name,
+                },
+                None => BoundExpr::Unresolved(c),
+            },
+            Expr::Unary { op, expr } => BoundExpr::Unary { op: *op, expr: bind(expr) },
+            Expr::Binary { op, left, right } => {
+                let (left, right) = (bind(left), bind(right));
+                let collation = self.comparison_collation(&left, &right);
+                let types = [left.column_type(), right.column_type()];
+                BoundExpr::Binary { op: *op, left, right, collation, types }
+            }
+            Expr::Like { negated, expr, pattern } => {
+                let pattern_text = match &**pattern {
+                    Expr::Literal(Value::Text(t)) => Some(Cow::Borrowed(t.as_str())),
+                    Expr::Literal(v) => v.to_text_lenient().map(Cow::Owned),
+                    _ => None,
+                };
+                BoundExpr::Like {
+                    negated: *negated,
+                    expr: bind(expr),
+                    pattern: bind(pattern),
+                    pattern_text,
+                }
+            }
+            Expr::Between { negated, expr, low, high } => {
+                let expr = bind(expr);
+                BoundExpr::Between {
+                    negated: *negated,
+                    collation: expr.collation(),
+                    expr,
+                    low: bind(low),
+                    high: bind(high),
+                }
+            }
+            Expr::InList { negated, expr, list } => {
+                let expr = bind(expr);
+                BoundExpr::InList {
+                    negated: *negated,
+                    collation: expr.collation(),
+                    expr,
+                    list: list.iter().map(|e| self.bind(e, schema)).collect(),
+                }
+            }
+            Expr::IsNull { negated, expr } => {
+                BoundExpr::IsNull { negated: *negated, expr: bind(expr) }
+            }
+            Expr::Cast { expr, type_name } => {
+                BoundExpr::Cast { expr: bind(expr), type_name: *type_name }
+            }
+            Expr::Case { operand, branches, else_expr } => {
+                let operand = operand.as_deref().map(bind);
+                BoundExpr::Case {
+                    collation: operand.as_ref().map_or(Collation::Binary, |o| o.collation()),
+                    operand,
+                    branches: branches
+                        .iter()
+                        .map(|(w, t)| (self.bind(w, schema), self.bind(t, schema)))
+                        .collect(),
+                    else_expr: else_expr.as_deref().map(bind),
+                }
+            }
+            Expr::Function { func, args } => BoundExpr::Function {
+                func: *func,
+                args: args.iter().map(|a| self.bind(a, schema)).collect(),
+            },
+            Expr::Aggregate { arg, .. } => BoundExpr::Aggregate { arg: arg.as_deref().map(bind) },
+            Expr::Collate { expr, collation } => {
+                BoundExpr::Collate { expr: bind(expr), collation: *collation }
+            }
+        }
+    }
+
+    /// Evaluates an expression against one row: binds it, then evaluates
+    /// the bound tree.  For one-shot evaluation (constant `INSERT`
+    /// values, tests); a loop over rows binds once instead.
     ///
     /// # Errors
     ///
@@ -135,35 +457,67 @@ impl<'a> Evaluator<'a> {
         schema: &RowSchema,
         row: &R,
     ) -> EngineResult<Value> {
-        match expr {
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Column(c) => self.eval_column(c, schema, row),
-            Expr::Unary { op, expr } => self.eval_unary(*op, expr, schema, row),
-            Expr::Binary { op, left, right } => self.eval_binary(*op, left, right, schema, row),
-            Expr::Like { negated, expr, pattern } => {
-                self.eval_like(*negated, expr, pattern, schema, row)
+        let bound = self.bind(expr, schema);
+        self.eval_bound(&bound, row).map(Cow::into_owned)
+    }
+
+    /// Evaluates a bound expression against one row.  Column and literal
+    /// leaves come back borrowed (from the row and the bound tree); only
+    /// computed values are owned, so a caller clones a value only where it
+    /// keeps it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::eval`].
+    pub fn eval_bound<'r, R: RowView + ?Sized>(
+        &self,
+        expr: &'r BoundExpr<'_>,
+        row: &'r R,
+    ) -> EngineResult<Cow<'r, Value>> {
+        let t = match expr {
+            BoundExpr::Literal(v) => return Ok(Cow::Borrowed(v)),
+            BoundExpr::Column { index, .. } => {
+                return Ok(row.value(*index).map_or(Cow::Owned(Value::Null), Cow::Borrowed))
             }
-            Expr::Between { negated, expr, low, high } => {
-                let v = self.eval(expr, schema, row)?;
-                let lo = self.eval(low, schema, row)?;
-                let hi = self.eval(high, schema, row)?;
-                let coll = self.collation_of(expr, schema);
-                let ge = self.compare_tri(&v, &lo, coll).map(|o| o != std::cmp::Ordering::Less);
-                let le = self.compare_tri(&v, &hi, coll).map(|o| o != std::cmp::Ordering::Greater);
+            BoundExpr::Unresolved(c) => {
+                return if self.dialect == Dialect::Sqlite && c.table.is_none() {
+                    // SQLite's double-quoted-string fallback (Listing 8).
+                    Ok(Cow::Owned(Value::Text(c.column.clone())))
+                } else {
+                    Err(EngineError::semantic(format!("no such column: {}", c.column)))
+                };
+            }
+            BoundExpr::Unary { op, expr } => return self.eval_unary(*op, expr, row),
+            BoundExpr::Binary { op, left, right, collation, types } => {
+                return self.eval_binary(*op, left, right, *collation, *types, row)
+            }
+            BoundExpr::Like { negated, expr, pattern, pattern_text } => {
+                return self
+                    .eval_like(*negated, expr, pattern, pattern_text.as_deref(), row)
+                    .map(Cow::Owned)
+            }
+            BoundExpr::Between { negated, expr, low, high, collation } => {
+                let v = self.eval_bound(expr, row)?;
+                let lo = self.eval_bound(low, row)?;
+                let hi = self.eval_bound(high, row)?;
+                let ge = self.compare_tri(&v, &lo, *collation).map(|o| o != Ordering::Less);
+                let le = self.compare_tri(&v, &hi, *collation).map(|o| o != Ordering::Greater);
                 let t = TriBool::from_option(ge).and(TriBool::from_option(le));
-                let t = if *negated { t.not() } else { t };
-                Ok(self.tribool_value(t))
+                if *negated {
+                    t.not()
+                } else {
+                    t
+                }
             }
-            Expr::InList { negated, expr, list } => {
-                let v = self.eval(expr, schema, row)?;
-                let coll = self.collation_of(expr, schema);
+            BoundExpr::InList { negated, expr, list, collation } => {
+                let v = self.eval_bound(expr, row)?;
                 let mut any_unknown = false;
                 let mut found = false;
                 for item in list {
-                    let iv = self.eval(item, schema, row)?;
-                    match self.compare_tri(&v, &iv, coll) {
+                    let iv = self.eval_bound(item, row)?;
+                    match self.compare_tri(&v, &iv, *collation) {
                         None => any_unknown = true,
-                        Some(std::cmp::Ordering::Equal) => {
+                        Some(Ordering::Equal) => {
                             found = true;
                             break;
                         }
@@ -177,66 +531,70 @@ impl<'a> Evaluator<'a> {
                 } else {
                     TriBool::False
                 };
-                let t = if *negated { t.not() } else { t };
-                Ok(self.tribool_value(t))
+                if *negated {
+                    t.not()
+                } else {
+                    t
+                }
             }
-            Expr::IsNull { negated, expr } => {
-                let v = self.eval(expr, schema, row)?;
-                let is_null = v.is_null();
-                let t: TriBool = (is_null != *negated).into();
-                Ok(self.tribool_value(t))
+            BoundExpr::IsNull { negated, expr } => {
+                let v = self.eval_bound(expr, row)?;
+                (v.is_null() != *negated).into()
             }
-            Expr::Cast { expr, type_name } => {
-                let v = self.eval(expr, schema, row)?;
-                self.cast(v, *type_name)
+            BoundExpr::Cast { expr, type_name } => {
+                let v = self.eval_bound(expr, row)?;
+                return self.cast(&v, *type_name).map(Cow::Owned);
             }
-            Expr::Case { operand, branches, else_expr } => {
+            BoundExpr::Case { operand, branches, else_expr, collation } => {
                 match operand {
                     Some(op) => {
-                        let base = self.eval(op, schema, row)?;
-                        let coll = self.collation_of(op, schema);
+                        let base = self.eval_bound(op, row)?;
                         for (when, then) in branches {
-                            let wv = self.eval(when, schema, row)?;
-                            if self.compare_tri(&base, &wv, coll) == Some(std::cmp::Ordering::Equal)
-                            {
-                                return self.eval(then, schema, row);
+                            let wv = self.eval_bound(when, row)?;
+                            if self.compare_tri(&base, &wv, *collation) == Some(Ordering::Equal) {
+                                return self.eval_bound(then, row);
                             }
                         }
                     }
                     None => {
                         for (when, then) in branches {
-                            if self.truthiness(when, schema, row)?.is_true() {
-                                return self.eval(then, schema, row);
+                            if self.eval_bound_predicate(when, row)?.is_true() {
+                                return self.eval_bound(then, row);
                             }
                         }
                     }
                 }
-                match else_expr {
-                    Some(e) => self.eval(e, schema, row),
-                    None => Ok(Value::Null),
-                }
+                return match else_expr {
+                    Some(e) => self.eval_bound(e, row),
+                    None => Ok(Cow::Owned(Value::Null)),
+                };
             }
-            Expr::Function { func, args } => self.eval_function(*func, args, schema, row),
-            Expr::Aggregate { .. } => {
-                Err(EngineError::semantic("aggregate functions are not allowed in this context"))
+            BoundExpr::Function { func, args } => {
+                return self.eval_function(*func, args, row).map(Cow::Owned)
             }
-            Expr::Collate { expr, .. } => self.eval(expr, schema, row),
-        }
+            BoundExpr::Aggregate { .. } => {
+                return Err(EngineError::semantic(
+                    "aggregate functions are not allowed in this context",
+                ))
+            }
+            BoundExpr::Collate { expr, .. } => return self.eval_bound(expr, row),
+        };
+        Ok(Cow::Owned(self.tribool_value(t)))
     }
 
-    /// Evaluates an expression as a predicate (`WHERE` / `HAVING` / `ON`).
+    /// Evaluates a bound expression as a predicate (`WHERE` / `HAVING` /
+    /// `ON`).
     ///
     /// # Errors
     ///
     /// In the PostgreSQL-like dialect, non-boolean predicate results are a
     /// type error; the other dialects convert implicitly.
-    pub fn eval_predicate<R: RowView + ?Sized>(
+    pub fn eval_bound_predicate<R: RowView + ?Sized>(
         &self,
-        expr: &Expr,
-        schema: &RowSchema,
+        expr: &BoundExpr<'_>,
         row: &R,
     ) -> EngineResult<TriBool> {
-        let v = self.eval(expr, schema, row)?;
+        let v = self.eval_bound(expr, row)?;
         self.value_to_tribool(&v)
     }
 
@@ -271,16 +629,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn truthiness<R: RowView + ?Sized>(
-        &self,
-        expr: &Expr,
-        schema: &RowSchema,
-        row: &R,
-    ) -> EngineResult<TriBool> {
-        let v = self.eval(expr, schema, row)?;
-        self.value_to_tribool(&v)
-    }
-
     fn tribool_value(&self, t: TriBool) -> Value {
         if self.dialect.strict_typing() {
             t.to_bool_value()
@@ -289,141 +637,112 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_column<R: RowView + ?Sized>(
-        &self,
-        c: &ColumnRef,
-        schema: &RowSchema,
-        row: &R,
-    ) -> EngineResult<Value> {
-        match schema.resolve(c) {
-            Some((i, _)) => Ok(row.value(i).cloned().unwrap_or(Value::Null)),
-            None => {
-                if self.dialect == Dialect::Sqlite && c.table.is_none() {
-                    // SQLite's double-quoted-string fallback (Listing 8).
-                    Ok(Value::Text(c.column.clone()))
-                } else {
-                    Err(EngineError::semantic(format!("no such column: {}", c.column)))
-                }
-            }
-        }
-    }
-
-    fn eval_unary<R: RowView + ?Sized>(
+    fn eval_unary<'r, R: RowView + ?Sized>(
         &self,
         op: UnaryOp,
-        expr: &Expr,
-        schema: &RowSchema,
-        row: &R,
-    ) -> EngineResult<Value> {
-        match op {
+        expr: &'r BoundExpr<'_>,
+        row: &'r R,
+    ) -> EngineResult<Cow<'r, Value>> {
+        let v = match op {
             UnaryOp::Not => {
                 // Injected fault: MySQL folds double negation for integer
                 // operands (Listing 13).
                 if self.bugs.is_enabled(BugId::MysqlDoubleNegationFolded) {
-                    if let Expr::Unary { op: UnaryOp::Not, expr: inner } = expr {
-                        return self.eval(inner, schema, row);
+                    if let BoundExpr::Unary { op: UnaryOp::Not, expr: inner } = expr {
+                        return self.eval_bound(inner, row);
                     }
                 }
-                let t = self.truthiness(expr, schema, row)?;
-                Ok(self.tribool_value(t.not()))
+                let t = self.eval_bound_predicate(expr, row)?;
+                self.tribool_value(t.not())
             }
-            UnaryOp::Neg => {
-                let v = self.eval(expr, schema, row)?;
-                match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Integer(i) => Ok(Value::Integer(i.checked_neg().unwrap_or(i64::MAX))),
-                    Value::Real(r) => Ok(Value::Real(-r)),
-                    Value::Boolean(b) => Ok(Value::Integer(-i64::from(b))),
-                    other => self.coerce_numeric_or_error(&other, "-").map(|n| match n {
-                        Num::Int(i) => Value::Integer(i.checked_neg().unwrap_or(i64::MAX)),
-                        Num::Real(r) => Value::Real(-r),
-                    }),
-                }
-            }
-            UnaryOp::Plus => self.eval(expr, schema, row),
+            UnaryOp::Neg => match &*self.eval_bound(expr, row)? {
+                Value::Null => Value::Null,
+                Value::Integer(i) => Value::Integer(i.checked_neg().unwrap_or(i64::MAX)),
+                Value::Real(r) => Value::Real(-r),
+                Value::Boolean(b) => Value::Integer(-i64::from(*b)),
+                other => match self.coerce_numeric_or_error(other, "-")? {
+                    Num::Int(i) => Value::Integer(i.checked_neg().unwrap_or(i64::MAX)),
+                    Num::Real(r) => Value::Real(-r),
+                },
+            },
+            UnaryOp::Plus => return self.eval_bound(expr, row),
             UnaryOp::BitNot => {
-                let v = self.eval(expr, schema, row)?;
+                let v = self.eval_bound(expr, row)?;
                 if v.is_null() {
-                    return Ok(Value::Null);
+                    Value::Null
+                } else {
+                    Value::Integer(!self.integer_of(&v, "~")?)
                 }
-                let i = self.to_integer(&v, "~")?;
-                Ok(Value::Integer(!i))
             }
-        }
+        };
+        Ok(Cow::Owned(v))
     }
 
-    fn eval_binary<R: RowView + ?Sized>(
+    fn eval_binary<'r, R: RowView + ?Sized>(
         &self,
         op: BinaryOp,
-        left: &Expr,
-        right: &Expr,
-        schema: &RowSchema,
-        row: &R,
-    ) -> EngineResult<Value> {
-        match op {
+        left: &'r BoundExpr<'_>,
+        right: &'r BoundExpr<'_>,
+        collation: Collation,
+        types: [Option<TypeName>; 2],
+        row: &'r R,
+    ) -> EngineResult<Cow<'r, Value>> {
+        let t: TriBool = match op {
             BinaryOp::And => {
-                let l = self.truthiness(left, schema, row)?;
+                let l = self.eval_bound_predicate(left, row)?;
                 // Short circuit only on definite FALSE, like the DBMS do.
                 if l == TriBool::False {
-                    return Ok(self.tribool_value(TriBool::False));
+                    TriBool::False
+                } else {
+                    l.and(self.eval_bound_predicate(right, row)?)
                 }
-                let r = self.truthiness(right, schema, row)?;
-                Ok(self.tribool_value(l.and(r)))
             }
             BinaryOp::Or => {
-                let l = self.truthiness(left, schema, row)?;
+                let l = self.eval_bound_predicate(left, row)?;
                 if l == TriBool::True {
-                    return Ok(self.tribool_value(TriBool::True));
+                    TriBool::True
+                } else {
+                    l.or(self.eval_bound_predicate(right, row)?)
                 }
-                let r = self.truthiness(right, schema, row)?;
-                Ok(self.tribool_value(l.or(r)))
             }
             BinaryOp::Is | BinaryOp::IsNot => {
-                if !self.dialect.has_scalar_is() {
+                let eq = if self.dialect.has_scalar_is() {
+                    let lv = self.eval_bound(left, row)?;
+                    let rv = self.eval_bound(right, row)?;
+                    self.values_equal_nullsafe(&lv, &rv, collation)
+                } else {
                     // The other dialects only support IS [NOT] with NULL /
-                    // boolean literals; the NULL form is parsed as IsNull, so
-                    // anything reaching here with a non-boolean operand is an
-                    // error (this is the dialect gap from Listing 1).
-                    let rv = self.eval(right, schema, row)?;
-                    if !matches!(rv, Value::Boolean(_) | Value::Null) {
+                    // boolean literals; the NULL form is parsed as IsNull,
+                    // so anything reaching here with a non-boolean operand
+                    // is an error (this is the dialect gap from Listing 1).
+                    let rv = self.eval_bound(right, row)?;
+                    if !matches!(*rv, Value::Boolean(_) | Value::Null) {
                         return Err(EngineError::semantic(format!(
                             "syntax error: IS {} is not supported for this operand",
                             if op == BinaryOp::IsNot { "NOT" } else { "" }
                         )));
                     }
-                    let lv = self.eval(left, schema, row)?;
-                    let eq = lv.same_as(&rv);
-                    let t: TriBool = (if op == BinaryOp::Is { eq } else { !eq }).into();
-                    return Ok(self.tribool_value(t));
-                }
-                let lv = self.eval(left, schema, row)?;
-                let rv = self.eval(right, schema, row)?;
-                let coll = self.comparison_collation(left, right, schema);
-                let eq = self.values_equal_nullsafe(&lv, &rv, coll);
-                let t: TriBool = (if op == BinaryOp::Is { eq } else { !eq }).into();
-                Ok(self.tribool_value(t))
+                    self.eval_bound(left, row)?.same_as(&rv)
+                };
+                (if op == BinaryOp::Is { eq } else { !eq }).into()
             }
             BinaryOp::NullSafeEq => {
                 if !self.dialect.has_null_safe_eq() {
                     return Err(EngineError::semantic("syntax error near '<=>'"));
                 }
-                let lv = self.eval(left, schema, row)?;
-                let rv = self.eval(right, schema, row)?;
+                let lv = self.eval_bound(left, row)?;
+                let rv = self.eval_bound(right, row)?;
                 // Injected fault: <=> against an out-of-range constant for a
                 // TINYINT column misbehaves for NULL values (Listing 12).
                 if self.bugs.is_enabled(BugId::MysqlNullSafeEqOutOfRange)
                     && lv.is_null()
-                    && self.column_type(left, schema) == Some(TypeName::TinyInt)
+                    && types[0] == Some(TypeName::TinyInt)
+                    && matches!(*rv, Value::Integer(i) if !(-128..=127).contains(&i))
                 {
-                    if let Value::Integer(i) = rv {
-                        if !(-128..=127).contains(&i) {
-                            return Ok(self.tribool_value(TriBool::True));
-                        }
-                    }
+                    TriBool::True
+                } else {
+                    self.values_equal_nullsafe(&lv, &rv, collation).into()
                 }
-                let coll = self.comparison_collation(left, right, schema);
-                let eq = self.values_equal_nullsafe(&lv, &rv, coll);
-                Ok(self.tribool_value(eq.into()))
             }
             BinaryOp::Eq
             | BinaryOp::Ne
@@ -431,58 +750,58 @@ impl<'a> Evaluator<'a> {
             | BinaryOp::Le
             | BinaryOp::Gt
             | BinaryOp::Ge => {
-                let mut lv = self.eval(left, schema, row)?;
-                let mut rv = self.eval(right, schema, row)?;
+                let mut lv = self.eval_bound(left, row)?;
+                let mut rv = self.eval_bound(right, row)?;
                 // Injected fault: INTEGER-affinity column compared against a
                 // REAL constant truncates the constant first (§4.4).
                 if self.bugs.is_enabled(BugId::SqliteIntRealComparisonTruncates) {
-                    if self.column_type(left, schema) == Some(TypeName::Integer) {
-                        if let Value::Real(r) = rv {
-                            rv = Value::Integer(real_to_int_saturating(r));
+                    if types[0] == Some(TypeName::Integer) {
+                        if let Value::Real(r) = *rv {
+                            rv = Cow::Owned(Value::Integer(real_to_int_saturating(r)));
                         }
                     }
-                    if self.column_type(right, schema) == Some(TypeName::Integer) {
-                        if let Value::Real(r) = lv {
-                            lv = Value::Integer(real_to_int_saturating(r));
+                    if types[1] == Some(TypeName::Integer) {
+                        if let Value::Real(r) = *lv {
+                            lv = Cow::Owned(Value::Integer(real_to_int_saturating(r)));
                         }
                     }
                 }
                 // Injected fault: comparisons against constants outside the
                 // TINYINT range clamp the constant (§4.5 value-range bugs).
                 if self.bugs.is_enabled(BugId::MysqlTinyIntRangeCompare) {
-                    if self.column_type(left, schema) == Some(TypeName::TinyInt) {
-                        if let Value::Integer(i) = rv {
-                            rv = Value::Integer(i.clamp(-128, 127));
+                    if types[0] == Some(TypeName::TinyInt) {
+                        if let Value::Integer(i) = *rv {
+                            rv = Cow::Owned(Value::Integer(i.clamp(-128, 127)));
                         }
                     }
-                    if self.column_type(right, schema) == Some(TypeName::TinyInt) {
-                        if let Value::Integer(i) = lv {
-                            lv = Value::Integer(i.clamp(-128, 127));
+                    if types[1] == Some(TypeName::TinyInt) {
+                        if let Value::Integer(i) = *lv {
+                            lv = Cow::Owned(Value::Integer(i.clamp(-128, 127)));
                         }
                     }
                 }
-                let coll = self.comparison_collation(left, right, schema);
-                let t = self.compare_values_tri(op, &lv, &rv, coll);
-                Ok(self.tribool_value(t))
+                self.compare_values_tri(op, &lv, &rv, collation)
             }
             BinaryOp::Concat => {
-                let lv = self.eval(left, schema, row)?;
-                let rv = self.eval(right, schema, row)?;
+                let lv = self.eval_bound(left, row)?;
+                let rv = self.eval_bound(right, row)?;
                 if lv.is_null() || rv.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
-                let ls = lv.to_text_lenient().unwrap_or_default();
-                let rs = rv.to_text_lenient().unwrap_or_default();
-                Ok(Value::Text(format!("{ls}{rs}")))
+                let (ls, rs) = (text_of(&lv), text_of(&rv));
+                let mut out = String::with_capacity(ls.len() + rs.len());
+                out.push_str(&ls);
+                out.push_str(&rs);
+                return Ok(Cow::Owned(Value::Text(out)));
             }
             BinaryOp::BitAnd | BinaryOp::BitOr | BinaryOp::ShiftLeft | BinaryOp::ShiftRight => {
-                let lv = self.eval(left, schema, row)?;
-                let rv = self.eval(right, schema, row)?;
+                let lv = self.eval_bound(left, row)?;
+                let rv = self.eval_bound(right, row)?;
                 if lv.is_null() || rv.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
-                let a = self.to_integer(&lv, "bitwise")?;
-                let b = self.to_integer(&rv, "bitwise")?;
+                let a = self.integer_of(&lv, "bitwise")?;
+                let b = self.integer_of(&rv, "bitwise")?;
                 let r = match op {
                     BinaryOp::BitAnd => a & b,
                     BinaryOp::BitOr => a | b,
@@ -504,24 +823,25 @@ impl<'a> Evaluator<'a> {
                     }
                     _ => unreachable!(),
                 };
-                Ok(Value::Integer(r))
+                return Ok(Cow::Owned(Value::Integer(r)));
             }
             BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
-                self.eval_arithmetic(op, left, right, schema, row)
+                return self.eval_arithmetic(op, left, right, types[0], row).map(Cow::Owned);
             }
-        }
+        };
+        Ok(Cow::Owned(self.tribool_value(t)))
     }
 
     fn eval_arithmetic<R: RowView + ?Sized>(
         &self,
         op: BinaryOp,
-        left: &Expr,
-        right: &Expr,
-        schema: &RowSchema,
+        left: &BoundExpr<'_>,
+        right: &BoundExpr<'_>,
+        left_type: Option<TypeName>,
         row: &R,
     ) -> EngineResult<Value> {
-        let lv = self.eval(left, schema, row)?;
-        let rv = self.eval(right, schema, row)?;
+        let lv = self.eval_bound(left, row)?;
+        let rv = self.eval_bound(right, row)?;
         if lv.is_null() || rv.is_null() {
             return Ok(Value::Null);
         }
@@ -529,9 +849,9 @@ impl<'a> Evaluator<'a> {
         // through floating point and loses precision (Listing 2).
         if op == BinaryOp::Sub
             && self.bugs.is_enabled(BugId::SqliteTextMinusIntegerPrecision)
-            && matches!(lv, Value::Text(_))
+            && matches!(*lv, Value::Text(_))
         {
-            if let Value::Integer(i) = rv {
+            if let Value::Integer(i) = *rv {
                 if i.unsigned_abs() > (1_u64 << 53) {
                     let l = lv.to_real_lenient().unwrap_or(0.0);
                     return Ok(Value::Integer(real_to_int_saturating(l - i as f64)));
@@ -544,7 +864,7 @@ impl<'a> Evaluator<'a> {
         // (MySQL intended behaviour, §4.5).
         if op == BinaryOp::Sub
             && self.bugs.is_enabled(BugId::MysqlUnsignedSubtractionWraps)
-            && self.column_type(left, schema) == Some(TypeName::Unsigned)
+            && left_type == Some(TypeName::Unsigned)
         {
             if let (Num::Int(a), Num::Int(b)) = (ln, rn) {
                 if a < b {
@@ -627,20 +947,20 @@ impl<'a> Evaluator<'a> {
     fn eval_like<R: RowView + ?Sized>(
         &self,
         negated: bool,
-        expr: &Expr,
-        pattern: &Expr,
-        schema: &RowSchema,
+        expr: &BoundExpr<'_>,
+        pattern: &BoundExpr<'_>,
+        pattern_text: Option<&str>,
         row: &R,
     ) -> EngineResult<Value> {
-        let v = self.eval(expr, schema, row)?;
-        let p = self.eval(pattern, schema, row)?;
+        let v = self.eval_bound(expr, row)?;
+        let p = self.eval_bound(pattern, row)?;
         if v.is_null() || p.is_null() {
             return Ok(Value::Null);
         }
         // Injected fault: a LIKE pattern ending in a backslash crashes the
         // pattern compiler (simulated SEGFAULT, §4.2).
         if self.bugs.is_enabled(BugId::SqliteLikeEscapeCrash) {
-            if let Value::Text(ref pt) = p {
+            if let Value::Text(pt) = &*p {
                 if pt.ends_with('\\') {
                     return Err(EngineError::crash("SEGFAULT in likeFunc()"));
                 }
@@ -648,29 +968,44 @@ impl<'a> Evaluator<'a> {
         }
         // Injected fault: LIKE on BLOB values yields FALSE instead of
         // matching their text conversion (§4.4 type flexibility).
-        if self.bugs.is_enabled(BugId::SqliteLikeOnBlobAlwaysFalse) && matches!(v, Value::Blob(_)) {
-            let t: TriBool = false.into();
-            let t = if negated { t.not() } else { t };
-            return Ok(self.tribool_value(t));
-        }
-        let text = v.to_text_lenient().unwrap_or_default();
-        let pat = p.to_text_lenient().unwrap_or_default();
-        let matched = like_match(&pat, &text, self.case_sensitive_like);
-        let t: TriBool = matched.into();
-        let t = if negated { t.not() } else { t };
+        let matched = if self.bugs.is_enabled(BugId::SqliteLikeOnBlobAlwaysFalse)
+            && matches!(*v, Value::Blob(_))
+        {
+            false
+        } else {
+            let pat = pattern_text.map_or_else(|| text_of(&p), Cow::Borrowed);
+            like_match(&pat, &text_of(&v), self.case_sensitive_like)
+        };
+        let t: TriBool = (matched != negated).into();
         Ok(self.tribool_value(t))
     }
 
+    /// Calls a scalar function; up to three arguments (every function but
+    /// a long `COALESCE`/`MIN`/`MAX`) are evaluated onto the stack.
     fn eval_function<R: RowView + ?Sized>(
         &self,
         func: ScalarFunc,
-        args: &[Expr],
-        schema: &RowSchema,
+        args: &[BoundExpr<'_>],
         row: &R,
     ) -> EngineResult<Value> {
-        let vals: Vec<Value> =
-            args.iter().map(|a| self.eval(a, schema, row)).collect::<EngineResult<_>>()?;
-        eval_scalar_function(func, &vals, self.dialect)
+        let d = self.dialect;
+        match args {
+            [] => eval_scalar_function::<Value>(func, &[], d),
+            [a] => eval_scalar_function(func, &[self.eval_bound(a, row)?], d),
+            [a, b] => {
+                eval_scalar_function(func, &[self.eval_bound(a, row)?, self.eval_bound(b, row)?], d)
+            }
+            [a, b, c] => {
+                let a = self.eval_bound(a, row)?;
+                let b = self.eval_bound(b, row)?;
+                eval_scalar_function(func, &[a, b, self.eval_bound(c, row)?], d)
+            }
+            _ => {
+                let vals: Vec<Cow<'_, Value>> =
+                    args.iter().map(|a| self.eval_bound(a, row)).collect::<EngineResult<_>>()?;
+                eval_scalar_function(func, &vals, d)
+            }
+        }
     }
 
     /// Casts a value to a target type under the dialect rules.
@@ -678,14 +1013,14 @@ impl<'a> Evaluator<'a> {
     /// # Errors
     ///
     /// Returns an error for invalid casts in the strict dialect.
-    pub fn cast(&self, v: Value, target: TypeName) -> EngineResult<Value> {
+    pub fn cast(&self, v: &Value, target: TypeName) -> EngineResult<Value> {
         if v.is_null() {
             return Ok(Value::Null);
         }
         match target {
             TypeName::Integer | TypeName::Serial => {
                 if self.dialect.strict_typing() {
-                    if let Value::Text(ref t) = v {
+                    if let Value::Text(t) = v {
                         if t.trim().parse::<i64>().is_err() {
                             return Err(EngineError::semantic(format!(
                                 "invalid input syntax for type integer: \"{t}\""
@@ -714,15 +1049,15 @@ impl<'a> Evaluator<'a> {
                 }
             }
             TypeName::Real => Ok(Value::Real(v.to_real_lenient().unwrap_or(0.0))),
-            TypeName::Text => Ok(Value::Text(v.to_text_lenient().unwrap_or_default())),
+            TypeName::Text => Ok(Value::Text(text_of(v).into_owned())),
             TypeName::Blob => match v {
-                Value::Blob(b) => Ok(Value::Blob(b)),
-                other => Ok(Value::Blob(other.to_text_lenient().unwrap_or_default().into_bytes())),
+                Value::Blob(b) => Ok(Value::Blob(b.clone())),
+                other => Ok(Value::Blob(text_of(other).into_owned().into_bytes())),
             },
             TypeName::Boolean => {
                 if self.dialect.strict_typing() {
-                    match &v {
-                        Value::Boolean(_) => Ok(v),
+                    match v {
+                        Value::Boolean(_) => Ok(v.clone()),
                         Value::Integer(i) => Ok(Value::Boolean(*i != 0)),
                         Value::Text(t) => match t.trim().to_ascii_lowercase().as_str() {
                             "t" | "true" | "yes" | "on" | "1" => Ok(Value::Boolean(true)),
@@ -740,56 +1075,23 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The static type of a column-reference expression, if it is one.
-    fn column_type(&self, expr: &Expr, schema: &RowSchema) -> Option<TypeName> {
-        match expr {
-            Expr::Column(c) => schema.resolve(c).and_then(|(_, meta)| meta.type_name),
-            Expr::Collate { expr, .. } | Expr::Cast { expr, .. } => self.column_type(expr, schema),
-            _ => None,
-        }
-    }
-
-    /// The collation governing comparisons over an expression.
-    #[must_use]
-    pub fn collation_of(&self, expr: &Expr, schema: &RowSchema) -> Collation {
-        match expr {
-            Expr::Collate { collation, .. } => *collation,
-            Expr::Column(c) => {
-                schema.resolve(c).map(|(_, meta)| meta.collation).unwrap_or_default()
-            }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => self.collation_of(expr, schema),
-            Expr::Binary { op: BinaryOp::Concat, left, right } => {
-                let l = self.collation_of(left, schema);
-                if l != Collation::Binary {
-                    l
-                } else {
-                    self.collation_of(right, schema)
-                }
-            }
-            _ => Collation::Binary,
-        }
-    }
-
-    fn comparison_collation(&self, left: &Expr, right: &Expr, schema: &RowSchema) -> Collation {
+    /// The collation a comparison between two operands uses: the left
+    /// operand's unless it is `BINARY`, then the right's.
+    fn comparison_collation(&self, left: &BoundExpr<'_>, right: &BoundExpr<'_>) -> Collation {
         if !self.dialect.has_collations() {
             return Collation::Binary;
         }
-        let l = self.collation_of(left, schema);
+        let l = left.collation();
         if l != Collation::Binary {
             l
         } else {
-            self.collation_of(right, schema)
+            right.collation()
         }
     }
 
     /// Three-valued comparison; `None` means unknown (a NULL operand).
     #[must_use]
-    pub fn compare_tri(
-        &self,
-        a: &Value,
-        b: &Value,
-        collation: Collation,
-    ) -> Option<std::cmp::Ordering> {
+    pub fn compare_tri(&self, a: &Value, b: &Value, collation: Collation) -> Option<Ordering> {
         if a.is_null() || b.is_null() {
             return None;
         }
@@ -813,12 +1115,12 @@ impl<'a> Evaluator<'a> {
             None => TriBool::Unknown,
             Some(ord) => {
                 let b = match op {
-                    BinaryOp::Eq => ord == std::cmp::Ordering::Equal,
-                    BinaryOp::Ne => ord != std::cmp::Ordering::Equal,
-                    BinaryOp::Lt => ord == std::cmp::Ordering::Less,
-                    BinaryOp::Le => ord != std::cmp::Ordering::Greater,
-                    BinaryOp::Gt => ord == std::cmp::Ordering::Greater,
-                    BinaryOp::Ge => ord != std::cmp::Ordering::Less,
+                    BinaryOp::Eq => ord == Ordering::Equal,
+                    BinaryOp::Ne => ord != Ordering::Equal,
+                    BinaryOp::Lt => ord == Ordering::Less,
+                    BinaryOp::Le => ord != Ordering::Greater,
+                    BinaryOp::Gt => ord == Ordering::Greater,
+                    BinaryOp::Ge => ord != Ordering::Less,
                     _ => unreachable!("compare_values_tri is only called with ordering operators"),
                 };
                 b.into()
@@ -830,7 +1132,7 @@ impl<'a> Evaluator<'a> {
         match (a.is_null(), b.is_null()) {
             (true, true) => true,
             (true, false) | (false, true) => false,
-            (false, false) => self.compare_tri(a, b, collation) == Some(std::cmp::Ordering::Equal),
+            (false, false) => self.compare_tri(a, b, collation) == Some(Ordering::Equal),
         }
     }
 
@@ -865,7 +1167,7 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn to_integer(&self, v: &Value, op: &str) -> EngineResult<i64> {
+    fn integer_of(&self, v: &Value, op: &str) -> EngineResult<i64> {
         match self.coerce_numeric_or_error(v, op)? {
             Num::Int(i) => Ok(i),
             Num::Real(r) => Ok(real_to_int_saturating(r)),
@@ -889,47 +1191,67 @@ impl Num {
     }
 }
 
-/// SQL `LIKE` matching with `%` and `_` wildcards.
-#[must_use]
-pub fn like_match(pattern: &str, text: &str, case_sensitive: bool) -> bool {
-    let (p, t) = if case_sensitive {
-        (pattern.to_owned(), text.to_owned())
-    } else {
-        (pattern.to_ascii_lowercase(), text.to_ascii_lowercase())
-    };
-    fn rec(p: &[char], t: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some(('%', rest)) => (0..=t.len()).any(|k| rec(rest, &t[k..])),
-            Some(('_', rest)) => !t.is_empty() && rec(rest, &t[1..]),
-            Some((c, rest)) => t.first() == Some(c) && rec(rest, &t[1..]),
-        }
+/// A value's text form (`to_text_lenient`, `NULL` as the empty string),
+/// borrowed where the value already holds it.
+fn text_of(v: &Value) -> Cow<'_, str> {
+    match v {
+        Value::Text(t) => Cow::Borrowed(t),
+        Value::Blob(b) => String::from_utf8_lossy(b),
+        other => Cow::Owned(other.to_text_lenient().unwrap_or_default()),
     }
-    let pc: Vec<char> = p.chars().collect();
-    let tc: Vec<char> = t.chars().collect();
-    rec(&pc, &tc)
 }
 
-/// Evaluates a scalar function over already-evaluated arguments.
+/// SQL `LIKE` matching with `%` and `_` wildcards, comparing characters
+/// in place (ASCII case folded unless `case_sensitive`).
+#[must_use]
+pub fn like_match(pattern: &str, text: &str, case_sensitive: bool) -> bool {
+    let eq = |a: char, b: char| if case_sensitive { a == b } else { a.eq_ignore_ascii_case(&b) };
+    fn rec(p: &str, t: &str, eq: &impl Fn(char, char) -> bool) -> bool {
+        let mut pc = p.chars();
+        let mut tc = t.chars();
+        match pc.next() {
+            None => t.is_empty(),
+            Some('%') => {
+                let rest = pc.as_str();
+                loop {
+                    if rec(rest, tc.as_str(), eq) {
+                        return true;
+                    }
+                    if tc.next().is_none() {
+                        return false;
+                    }
+                }
+            }
+            Some('_') => tc.next().is_some() && rec(pc.as_str(), tc.as_str(), eq),
+            Some(c) => tc.next().is_some_and(|x| eq(c, x)) && rec(pc.as_str(), tc.as_str(), eq),
+        }
+    }
+    rec(pattern, text, &eq)
+}
+
+/// Evaluates a scalar function over already-evaluated arguments (owned or
+/// borrowed).
 ///
-/// Exposed so that the aggregate executor can reuse it.
+/// Shared with `lancer-core`'s interpreter, so function semantics are
+/// defined once.
 ///
 /// # Errors
 ///
 /// Returns an error for argument values the function does not accept in the
 /// strict dialect.
-pub fn eval_scalar_function(
+pub fn eval_scalar_function<V: Borrow<Value>>(
     func: ScalarFunc,
-    vals: &[Value],
+    vals: &[V],
     dialect: Dialect,
 ) -> EngineResult<Value> {
-    let first = || vals.first().cloned().unwrap_or(Value::Null);
+    let arg = |i: usize| vals.get(i).map_or(&Value::Null, Borrow::borrow);
+    let first = arg(0);
     match func {
-        ScalarFunc::Abs => match first() {
+        ScalarFunc::Abs => match first {
             Value::Null => Ok(Value::Null),
             Value::Integer(i) => Ok(Value::Integer(i.checked_abs().unwrap_or(i64::MAX))),
             Value::Real(r) => Ok(Value::Real(r.abs())),
-            Value::Boolean(b) => Ok(Value::Integer(i64::from(b))),
+            Value::Boolean(b) => Ok(Value::Integer(i64::from(*b))),
             other => {
                 if dialect.strict_typing() {
                     Err(EngineError::semantic("function abs() does not accept this type"))
@@ -938,112 +1260,90 @@ pub fn eval_scalar_function(
                 }
             }
         },
-        ScalarFunc::Length => match first() {
+        ScalarFunc::Length => match first {
             Value::Null => Ok(Value::Null),
             Value::Blob(b) => Ok(Value::Integer(b.len() as i64)),
-            other => Ok(Value::Integer(
-                other.to_text_lenient().unwrap_or_default().chars().count() as i64,
-            )),
+            other => Ok(Value::Integer(text_of(other).chars().count() as i64)),
         },
-        ScalarFunc::Lower => match first() {
+        ScalarFunc::Lower => match first {
             Value::Null => Ok(Value::Null),
-            other => Ok(Value::Text(other.to_text_lenient().unwrap_or_default().to_lowercase())),
+            other => Ok(Value::Text(text_of(other).to_lowercase())),
         },
-        ScalarFunc::Upper => match first() {
+        ScalarFunc::Upper => match first {
             Value::Null => Ok(Value::Null),
-            other => Ok(Value::Text(other.to_text_lenient().unwrap_or_default().to_uppercase())),
+            other => Ok(Value::Text(text_of(other).to_uppercase())),
         },
-        ScalarFunc::Coalesce => {
-            for v in vals {
-                if !v.is_null() {
-                    return Ok(v.clone());
-                }
-            }
-            Ok(Value::Null)
-        }
-        ScalarFunc::IfNull => {
-            let a = first();
-            if a.is_null() {
-                Ok(vals.get(1).cloned().unwrap_or(Value::Null))
-            } else {
-                Ok(a)
-            }
-        }
+        ScalarFunc::Coalesce => Ok(vals
+            .iter()
+            .map(Borrow::borrow)
+            .find(|v| !v.is_null())
+            .cloned()
+            .unwrap_or(Value::Null)),
+        ScalarFunc::IfNull => Ok(if first.is_null() { arg(1) } else { first }.clone()),
         ScalarFunc::NullIf => {
-            let a = first();
-            let b = vals.get(1).cloned().unwrap_or(Value::Null);
-            if !a.is_null() && !b.is_null() && a.same_as(&b) {
+            let b = arg(1);
+            if !first.is_null() && !b.is_null() && first.same_as(b) {
                 Ok(Value::Null)
             } else {
-                Ok(a)
+                Ok(first.clone())
             }
         }
         ScalarFunc::Min | ScalarFunc::Max => {
-            if vals.iter().any(Value::is_null) {
+            if vals.iter().any(|v| v.borrow().is_null()) {
                 return Ok(Value::Null);
             }
-            let mut best = vals.first().cloned().unwrap_or(Value::Null);
-            for v in &vals[1..] {
-                let ord = v.total_cmp(&best, Collation::Binary);
+            let mut best = first;
+            for v in vals.iter().skip(1).map(Borrow::borrow) {
+                let ord = v.total_cmp(best, Collation::Binary);
                 let better = if func == ScalarFunc::Min {
-                    ord == std::cmp::Ordering::Less
+                    ord == Ordering::Less
                 } else {
-                    ord == std::cmp::Ordering::Greater
+                    ord == Ordering::Greater
                 };
                 if better {
-                    best = v.clone();
+                    best = v;
                 }
             }
-            Ok(best)
+            Ok(best.clone())
         }
-        ScalarFunc::Hex => match first() {
+        ScalarFunc::Hex => match first {
             Value::Null => Ok(Value::Null),
-            Value::Blob(b) => {
-                Ok(Value::Text(b.iter().map(|x| format!("{x:02X}")).collect::<String>()))
-            }
-            other => {
-                let t = other.to_text_lenient().unwrap_or_default();
-                Ok(Value::Text(t.bytes().map(|x| format!("{x:02X}")).collect::<String>()))
-            }
+            Value::Blob(b) => Ok(Value::Text(hex(b))),
+            other => Ok(Value::Text(hex(text_of(other).as_bytes()))),
         },
-        ScalarFunc::TypeOf => Ok(Value::Text(first().storage_class().to_string())),
-        ScalarFunc::Trim => match first() {
+        ScalarFunc::TypeOf => Ok(Value::Text(first.storage_class().to_string())),
+        ScalarFunc::Trim => match first {
             Value::Null => Ok(Value::Null),
-            other => Ok(Value::Text(other.to_text_lenient().unwrap_or_default().trim().to_owned())),
+            other => Ok(Value::Text(text_of(other).trim().to_owned())),
         },
-        ScalarFunc::Ltrim => match first() {
+        ScalarFunc::Ltrim => match first {
             Value::Null => Ok(Value::Null),
-            other => {
-                Ok(Value::Text(other.to_text_lenient().unwrap_or_default().trim_start().to_owned()))
-            }
+            other => Ok(Value::Text(text_of(other).trim_start().to_owned())),
         },
-        ScalarFunc::Rtrim => match first() {
+        ScalarFunc::Rtrim => match first {
             Value::Null => Ok(Value::Null),
-            other => {
-                Ok(Value::Text(other.to_text_lenient().unwrap_or_default().trim_end().to_owned()))
-            }
+            other => Ok(Value::Text(text_of(other).trim_end().to_owned())),
         },
         ScalarFunc::Replace => {
-            if vals.iter().take(3).any(Value::is_null) {
+            if (0..3).any(|i| arg(i).is_null()) {
                 return Ok(Value::Null);
             }
-            let s = vals[0].to_text_lenient().unwrap_or_default();
-            let from = vals[1].to_text_lenient().unwrap_or_default();
-            let to = vals[2].to_text_lenient().unwrap_or_default();
+            let s = text_of(first);
+            let from = text_of(arg(1));
             if from.is_empty() {
-                Ok(Value::Text(s))
+                Ok(Value::Text(s.into_owned()))
             } else {
-                Ok(Value::Text(s.replace(&from, &to)))
+                Ok(Value::Text(s.replace(&*from, &text_of(arg(2)))))
             }
         }
         ScalarFunc::Substr => {
-            if vals.iter().any(Value::is_null) {
+            if vals.iter().any(|v| v.borrow().is_null()) {
                 return Ok(Value::Null);
             }
-            let s = vals[0].to_text_lenient().unwrap_or_default();
+            let s = text_of(first);
             let chars: Vec<char> = s.chars().collect();
-            let start = vals[1].to_integer_lenient().unwrap_or(1);
-            let len = vals.get(2).and_then(Value::to_integer_lenient).unwrap_or(i64::MAX);
+            let start = arg(1).to_integer_lenient().unwrap_or(1);
+            let len = vals.get(2).and_then(|v| v.borrow().to_integer_lenient()).unwrap_or(i64::MAX);
             if len < 0 {
                 return Ok(Value::Text(String::new()));
             }
@@ -1061,15 +1361,15 @@ pub fn eval_scalar_function(
             Ok(Value::Text(chars[begin..end].iter().collect()))
         }
         ScalarFunc::Instr => {
-            if vals.iter().take(2).any(Value::is_null) {
+            if first.is_null() || arg(1).is_null() {
                 return Ok(Value::Null);
             }
-            let hay = vals[0].to_text_lenient().unwrap_or_default();
-            let needle = vals[1].to_text_lenient().unwrap_or_default();
+            let hay = text_of(first);
+            let needle = text_of(arg(1));
             if needle.is_empty() {
                 return Ok(Value::Integer(if hay.is_empty() { 0 } else { 1 }));
             }
-            match hay.find(&needle) {
+            match hay.find(&*needle) {
                 Some(byte_pos) => {
                     let char_pos = hay[..byte_pos].chars().count() as i64 + 1;
                     Ok(Value::Integer(char_pos))
@@ -1080,26 +1380,33 @@ pub fn eval_scalar_function(
     }
 }
 
-/// Evaluates an aggregate function over a column of values (one per row).
+/// Upper-case hex digits of a byte string.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|x| format!("{x:02X}")).collect()
+}
+
+/// Evaluates an aggregate function over a column of values (one per row,
+/// owned or borrowed).
 ///
 /// # Errors
 ///
 /// Returns an error if `SUM`/`AVG` is applied to values that cannot be
 /// interpreted numerically in the strict dialect.
-pub fn eval_aggregate(
+pub fn eval_aggregate<V: Borrow<Value>>(
     func: AggFunc,
-    values: &[Value],
+    values: &[V],
     distinct: bool,
     dialect: Dialect,
 ) -> EngineResult<Value> {
-    let mut vals: Vec<Value> = values.iter().filter(|v| !v.is_null()).cloned().collect();
+    let mut vals: Vec<&Value> =
+        values.iter().map(Borrow::borrow).filter(|v| !v.is_null()).collect();
     if distinct {
-        let mut seen: Vec<Value> = Vec::new();
+        let mut seen: Vec<&Value> = Vec::new();
         vals.retain(|v| {
             if seen.iter().any(|s| s.same_as(v)) {
                 false
             } else {
-                seen.push(v.clone());
+                seen.push(v);
                 true
             }
         });
@@ -1107,22 +1414,20 @@ pub fn eval_aggregate(
     match func {
         AggFunc::Count => Ok(Value::Integer(vals.len() as i64)),
         AggFunc::Min | AggFunc::Max => {
-            if vals.is_empty() {
-                return Ok(Value::Null);
-            }
-            let mut best = vals[0].clone();
-            for v in &vals[1..] {
-                let ord = v.total_cmp(&best, Collation::Binary);
+            let Some((&first, rest)) = vals.split_first() else { return Ok(Value::Null) };
+            let mut best = first;
+            for &v in rest {
+                let ord = v.total_cmp(best, Collation::Binary);
                 let better = if func == AggFunc::Min {
-                    ord == std::cmp::Ordering::Less
+                    ord == Ordering::Less
                 } else {
-                    ord == std::cmp::Ordering::Greater
+                    ord == Ordering::Greater
                 };
                 if better {
-                    best = v.clone();
+                    best = v;
                 }
             }
-            Ok(best)
+            Ok(best.clone())
         }
         AggFunc::Sum | AggFunc::Avg => {
             if vals.is_empty() {
@@ -1351,13 +1656,14 @@ mod tests {
     fn postgres_strict_where_typing() {
         let bugs = BugProfile::none();
         let ev = Evaluator::new(Dialect::Postgres, &bugs);
-        let e = parse_expression("1 + 1").unwrap();
-        assert!(ev.eval_predicate(&e, &RowSchema::empty(), NO_ROW).is_err());
-        let e = parse_expression("1 < 2").unwrap();
-        assert_eq!(ev.eval_predicate(&e, &RowSchema::empty(), NO_ROW).unwrap(), TriBool::True);
+        let predicate = |ev: &Evaluator, sql: &str| {
+            let e = parse_expression(sql).unwrap();
+            ev.eval_bound_predicate(&ev.bind(&e, &RowSchema::empty()), NO_ROW)
+        };
+        assert!(predicate(&ev, "1 + 1").is_err());
+        assert_eq!(predicate(&ev, "1 < 2").unwrap(), TriBool::True);
         let lenient = Evaluator::new(Dialect::Sqlite, &bugs);
-        let e = parse_expression("2").unwrap();
-        assert_eq!(lenient.eval_predicate(&e, &RowSchema::empty(), NO_ROW).unwrap(), TriBool::True);
+        assert_eq!(predicate(&lenient, "2").unwrap(), TriBool::True);
     }
 
     #[test]
@@ -1387,7 +1693,10 @@ mod tests {
             eval_aggregate(AggFunc::Avg, &vals, true, Dialect::Sqlite).unwrap(),
             Value::Real(2.0)
         );
-        assert_eq!(eval_aggregate(AggFunc::Sum, &[], false, Dialect::Sqlite).unwrap(), Value::Null);
+        assert_eq!(
+            eval_aggregate::<Value>(AggFunc::Sum, &[], false, Dialect::Sqlite).unwrap(),
+            Value::Null
+        );
         assert!(eval_aggregate(AggFunc::Sum, &[Value::Text("a".into())], false, Dialect::Postgres)
             .is_err());
     }

@@ -10,9 +10,12 @@
 //! child rows of an inheritance parent, a `LEFT JOIN`'s all-NULL pad row
 //! and the rows the poisoned-column fault rewrites.
 //!
-//! `Project` and `Aggregate` are the only operators that copy values:
-//! they read each tuple in place through [`Tuple`], a
-//! [`RowView`](crate::eval::RowView), and materialize the output rows.
+//! Operators evaluate expressions bound once per query to the batch
+//! schema (`Evaluator::bind`); a bound column leaf reads a tuple's value in
+//! place through [`Tuple`], a [`RowView`](crate::eval::RowView), and hands
+//! it back borrowed.  So values are cloned only where they are kept, and
+//! `Project` and `Aggregate`, which materialize the output rows (and the
+//! group keys), are the only operators that copy values.
 //! From then on the batch carries those rows, which `Distinct`, `Sort` and
 //! `Limit` rearrange by value.  The schema is stored once per batch behind
 //! an [`Arc`]; joins extend it in place via [`Arc::make_mut`] (the batch is

@@ -10,7 +10,7 @@ use lancer_storage::{StorageError, View};
 
 use crate::bugs::BugId;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{RowSchema, SourceSchema};
+use crate::eval::{BoundExpr, Evaluator, RowSchema};
 use crate::exec::{Engine, QueryResult};
 
 impl Engine {
@@ -118,40 +118,15 @@ impl Engine {
         Ok(())
     }
 
-    /// Computes the key of `row_values` for an index definition; returns
-    /// `None` when a partial-index predicate excludes the row.
-    pub(crate) fn index_key_for_row(
-        &self,
-        def: &IndexDef,
-        table_schema: &TableSchema,
-        row_values: &[Value],
-    ) -> EngineResult<Option<Vec<Value>>> {
-        let schema = RowSchema::single(SourceSchema {
-            name: table_schema.name.clone(),
-            columns: table_schema.columns.clone(),
-        });
-        let ev = self.evaluator();
-        if let Some(pred) = &def.where_clause {
-            let t = ev.eval_predicate(pred, &schema, row_values)?;
-            if !t.is_true() {
-                return Ok(None);
-            }
-        }
-        let mut key = Vec::with_capacity(def.exprs.len());
-        for e in &def.exprs {
-            key.push(ev.eval(e, &schema, row_values)?);
-        }
-        Ok(Some(key))
-    }
-
     /// Builds an index over the current contents of its table, enforcing
-    /// uniqueness.
+    /// uniqueness.  The key is bound once for the whole table.
     pub(crate) fn build_index(&self, def: IndexDef) -> EngineResult<Index> {
         let table = self.db.require_table(&def.table)?;
-        let schema = table.schema.clone();
-        let mut index = Index::new(def);
+        let ev = self.evaluator();
+        let key = IndexKey::bind(&ev, &def, &RowSchema::of_table(&table.schema));
+        let mut index = Index::new(def.clone());
         for (id, row) in table.rows() {
-            if let Some(key) = self.index_key_for_row(&index.def, &schema, row)? {
+            if let Some(key) = key.of(&ev, row)? {
                 index.insert(key, id)?;
             }
         }
@@ -173,10 +148,7 @@ impl Engine {
         // double-quote leniency (Listing 8).
         let mut exprs = Vec::new();
         let mut collations = Vec::new();
-        let row_schema = RowSchema::single(SourceSchema {
-            name: table_schema.name.clone(),
-            columns: table_schema.columns.clone(),
-        });
+        let row_schema = RowSchema::of_table(&table_schema);
         let ev = self.evaluator();
         for col in &ci.columns {
             for cref in col.expr.column_refs() {
@@ -186,7 +158,7 @@ impl Engine {
                     return Err(StorageError::NoSuchColumn(cref.column.clone()).into());
                 }
             }
-            let coll = col.collation.unwrap_or_else(|| ev.collation_of(&col.expr, &row_schema));
+            let coll = col.collation.unwrap_or_else(|| ev.bind(&col.expr, &row_schema).collation());
             exprs.push(col.expr.clone());
             collations.push(coll);
         }
@@ -351,6 +323,41 @@ impl Engine {
                 Ok(QueryResult::empty())
             }
         }
+    }
+}
+
+/// One index's key expressions and partial-index predicate, bound to its
+/// table's row schema once per index build or writing statement (which
+/// never changes the table's indexes), not once per row.
+pub(crate) struct IndexKey<'d> {
+    /// The definition the key is bound from.
+    pub(crate) def: &'d IndexDef,
+    predicate: Option<BoundExpr<'d>>,
+    exprs: Vec<BoundExpr<'d>>,
+}
+
+impl<'d> IndexKey<'d> {
+    pub(crate) fn bind(ev: &Evaluator, def: &'d IndexDef, schema: &RowSchema) -> IndexKey<'d> {
+        IndexKey {
+            def,
+            predicate: def.where_clause.as_ref().map(|p| ev.bind(p, schema)),
+            exprs: def.exprs.iter().map(|e| ev.bind(e, schema)).collect(),
+        }
+    }
+
+    /// The key of one row, or `None` when the partial-index predicate
+    /// excludes it.
+    pub(crate) fn of(&self, ev: &Evaluator, row: &[Value]) -> EngineResult<Option<Vec<Value>>> {
+        if let Some(predicate) = &self.predicate {
+            if !ev.eval_bound_predicate(predicate, row)?.is_true() {
+                return Ok(None);
+            }
+        }
+        let mut key = Vec::with_capacity(self.exprs.len());
+        for e in &self.exprs {
+            key.push(ev.eval_bound(e, row)?.into_owned());
+        }
+        Ok(Some(key))
     }
 }
 

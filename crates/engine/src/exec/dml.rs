@@ -2,15 +2,48 @@
 
 use lancer_sql::ast::expr::TypeName;
 use lancer_sql::ast::stmt::{Delete, Insert, OnConflict, Update};
+use lancer_sql::ast::Expr;
 use lancer_sql::value::{real_to_int_saturating, text_integer_prefix, text_numeric_prefix, Value};
+use lancer_storage::index::IndexDef;
 use lancer_storage::schema::{Affinity, ColumnMeta, TableSchema};
 use lancer_storage::{RowId, StorageError};
 
 use crate::bugs::BugId;
 use crate::dialect::Dialect;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{RowSchema, SourceSchema};
+use crate::eval::{BoundExpr, Evaluator, RowSchema};
+use crate::exec::ddl::IndexKey;
 use crate::exec::{Engine, QueryResult};
+
+/// The table a writing statement (`INSERT`, `UPDATE`) targets, with its
+/// CHECK constraints and index keys bound to its row schema once per
+/// statement, so the per-row checks resolve no name and build no schema.
+struct BoundTable<'s> {
+    ev: Evaluator,
+    schema: &'s TableSchema,
+    row_schema: RowSchema,
+    /// Each column's CHECK constraint, in column order.
+    column_checks: Vec<Option<BoundExpr<'s>>>,
+    /// The table-level CHECK constraints.
+    table_checks: Vec<BoundExpr<'s>>,
+    /// One key per index on the table, in catalog order.
+    keys: Vec<IndexKey<'s>>,
+}
+
+impl<'s> BoundTable<'s> {
+    fn bind(ev: Evaluator, schema: &'s TableSchema, index_defs: &'s [IndexDef]) -> BoundTable<'s> {
+        let row_schema = RowSchema::of_table(schema);
+        let bind = |e: &'s Expr| ev.bind(e, &row_schema);
+        BoundTable {
+            ev,
+            schema,
+            column_checks: schema.columns.iter().map(|c| c.check.as_ref().map(bind)).collect(),
+            table_checks: schema.checks.iter().map(bind).collect(),
+            keys: index_defs.iter().map(|d| IndexKey::bind(&ev, d, &row_schema)).collect(),
+            row_schema,
+        }
+    }
+}
 
 impl Engine {
     /// Applies the column's affinity / strict type to a freshly evaluated
@@ -37,22 +70,17 @@ impl Engine {
     }
 
     /// Checks NOT NULL and CHECK constraints for a candidate row.
-    fn check_row_constraints(&self, schema: &TableSchema, values: &[Value]) -> EngineResult<()> {
-        let row_schema = RowSchema::single(SourceSchema {
-            name: schema.name.clone(),
-            columns: schema.columns.clone(),
-        });
-        let ev = self.evaluator();
-        for (i, col) in schema.columns.iter().enumerate() {
-            if col.not_null && values[i].is_null() {
+    fn check_row_constraints(&self, table: &BoundTable<'_>, values: &[Value]) -> EngineResult<()> {
+        let (ev, schema) = (&table.ev, table.schema);
+        for ((col, check), value) in schema.columns.iter().zip(&table.column_checks).zip(values) {
+            if col.not_null && value.is_null() {
                 return Err(EngineError::constraint(format!(
                     "NOT NULL constraint failed: {}.{}",
                     schema.name, col.name
                 )));
             }
-            if let Some(check) = &col.check {
-                let t = ev.eval_predicate(check, &row_schema, values)?;
-                if t == lancer_sql::TriBool::False {
+            if let Some(check) = check {
+                if ev.eval_bound_predicate(check, values)? == lancer_sql::TriBool::False {
                     return Err(EngineError::constraint(format!(
                         "CHECK constraint failed: {}.{}",
                         schema.name, col.name
@@ -60,9 +88,8 @@ impl Engine {
                 }
             }
         }
-        for check in &schema.checks {
-            let t = ev.eval_predicate(check, &row_schema, values)?;
-            if t == lancer_sql::TriBool::False {
+        for check in &table.table_checks {
+            if ev.eval_bound_predicate(check, values)? == lancer_sql::TriBool::False {
                 return Err(EngineError::constraint(format!(
                     "CHECK constraint failed: {}",
                     schema.name
@@ -75,16 +102,17 @@ impl Engine {
     /// Finds rows whose unique-index keys conflict with the candidate row.
     fn find_conflicts(
         &self,
-        schema: &TableSchema,
+        table: &BoundTable<'_>,
         values: &[Value],
         exclude: Option<RowId>,
     ) -> EngineResult<Vec<RowId>> {
         let mut conflicts = Vec::new();
-        for index in self.database().indexes_on(&schema.name) {
-            if !index.def.unique {
+        for key in &table.keys {
+            if !key.def.unique {
                 continue;
             }
-            if let Some(key) = self.index_key_for_row(&index.def, schema, values)? {
+            let Some(index) = self.db.index(&key.def.name) else { continue };
+            if let Some(key) = key.of(&table.ev, values)? {
                 if key.iter().any(Value::is_null) {
                     continue;
                 }
@@ -101,28 +129,29 @@ impl Engine {
     /// Adds a row's entries to every index of its table.
     fn index_insert_row(
         &mut self,
-        schema: &TableSchema,
+        table: &BoundTable<'_>,
         values: &[Value],
         row_id: RowId,
     ) -> EngineResult<()> {
-        let keys: Vec<(String, Option<Vec<Value>>)> = self
-            .database()
-            .indexes_on(&schema.name)
-            .iter()
-            .map(|idx| {
-                self.index_key_for_row(&idx.def, schema, values).map(|k| (idx.def.name.clone(), k))
-            })
-            .collect::<EngineResult<_>>()?;
-        for (name, key) in keys {
+        let keys: Vec<Option<Vec<Value>>> =
+            table.keys.iter().map(|key| key.of(&table.ev, values)).collect::<EngineResult<_>>()?;
+        for (bound, key) in table.keys.iter().zip(keys) {
             if let Some(key) = key {
+                let name = &bound.def.name;
                 let idx = self
                     .db
-                    .index_mut(&name)
+                    .index_mut(name)
                     .ok_or_else(|| StorageError::NoSuchIndex(name.clone()))?;
                 idx.insert(key, row_id)?;
             }
         }
         Ok(())
+    }
+
+    /// The definitions of a table's indexes, in catalog order, for a
+    /// statement to bind once.
+    fn index_defs(&self, table: &str) -> Vec<IndexDef> {
+        self.db.indexes_on(table).iter().map(|i| i.def.clone()).collect()
     }
 
     /// Removes a row from the table and all its indexes.
@@ -150,6 +179,9 @@ impl Engine {
                 })
                 .collect::<EngineResult<_>>()?
         };
+        let ev = self.evaluator();
+        let index_defs = self.index_defs(&schema.name);
+        let table = BoundTable::bind(ev, &schema, &index_defs);
         let ev_schema = RowSchema::empty();
         let mut affected = 0usize;
         for row_exprs in &ins.rows {
@@ -162,7 +194,6 @@ impl Engine {
                 )));
             }
             // Evaluate the supplied expressions in a constant context.
-            let ev = self.evaluator();
             let mut supplied = Vec::with_capacity(row_exprs.len());
             for e in row_exprs {
                 supplied.push(ev.eval::<[Value]>(e, &ev_schema, &[])?);
@@ -192,7 +223,7 @@ impl Engine {
                 self.cover("constraint.check");
             }
             // NOT NULL / CHECK.
-            let constraint_result = self.check_row_constraints(&schema, &values);
+            let constraint_result = self.check_row_constraints(&table, &values);
             if let Err(e) = constraint_result {
                 match ins.on_conflict {
                     OnConflict::Ignore => {
@@ -203,7 +234,7 @@ impl Engine {
                 }
             }
             // Uniqueness.
-            let conflicts = self.find_conflicts(&schema, &values, None)?;
+            let conflicts = self.find_conflicts(&table, &values, None)?;
             if !conflicts.is_empty() {
                 match ins.on_conflict {
                     OnConflict::Abort => {
@@ -225,7 +256,7 @@ impl Engine {
                 }
             }
             let row_id = self.db.require_table_mut(&schema.name)?.insert(values.clone())?;
-            self.index_insert_row(&schema, &values, row_id)?;
+            self.index_insert_row(&table, &values, row_id)?;
             affected += 1;
         }
         Ok(QueryResult { columns: Vec::new(), rows: Vec::new(), affected })
@@ -234,26 +265,25 @@ impl Engine {
     pub(crate) fn exec_update(&mut self, upd: &Update) -> EngineResult<QueryResult> {
         self.cover("stmt.update");
         let schema = self.db.require_table(&upd.table)?.schema.clone();
-        let row_schema = RowSchema::single(SourceSchema {
-            name: schema.name.clone(),
-            columns: schema.columns.clone(),
-        });
+        let ev = self.evaluator();
+        let index_defs = self.index_defs(&schema.name);
+        let table = BoundTable::bind(ev, &schema, &index_defs);
         // Resolve assignment targets up front.
         let mut targets = Vec::with_capacity(upd.assignments.len());
         for (col, expr) in &upd.assignments {
             let idx = schema
                 .column_index(col)
                 .ok_or_else(|| EngineError::from(StorageError::NoSuchColumn(col.clone())))?;
-            targets.push((idx, expr.clone()));
+            targets.push((idx, ev.bind(expr, &table.row_schema)));
         }
+        let where_clause = upd.where_clause.as_ref().map(|w| ev.bind(w, &table.row_schema));
         // Collect matching rows first, then mutate.
         let rows: Vec<(RowId, Vec<Value>)> = {
-            let ev = self.evaluator();
-            let table = self.db.require_table(&upd.table)?;
+            let stored = self.db.require_table(&upd.table)?;
             let mut matching = Vec::new();
-            for (id, row) in table.rows() {
-                let keep = match &upd.where_clause {
-                    Some(w) => ev.eval_predicate(w, &row_schema, row)?.is_true(),
+            for (id, row) in stored.rows() {
+                let keep = match &where_clause {
+                    Some(w) => ev.eval_bound_predicate(w, row)?.is_true(),
                     None => true,
                 };
                 if keep {
@@ -270,15 +300,12 @@ impl Engine {
         let mut affected = 0usize;
         for (row_id, old_values) in rows {
             let mut new_values = old_values.clone();
-            {
-                let ev = self.evaluator();
-                for (idx, expr) in &targets {
-                    let v = ev.eval(expr, &row_schema, old_values.as_slice())?;
-                    new_values[*idx] = self.apply_affinity(v, &schema.columns[*idx])?;
-                }
+            for (idx, expr) in &targets {
+                let v = ev.eval_bound(expr, old_values.as_slice())?.into_owned();
+                new_values[*idx] = self.apply_affinity(v, &schema.columns[*idx])?;
             }
-            self.check_row_constraints(&schema, &new_values)?;
-            let conflicts = self.find_conflicts(&schema, &new_values, Some(row_id))?;
+            self.check_row_constraints(&table, &new_values)?;
+            let conflicts = self.find_conflicts(&table, &new_values, Some(row_id))?;
             if !conflicts.is_empty() {
                 match upd.on_conflict {
                     OnConflict::Abort => {
@@ -337,7 +364,7 @@ impl Engine {
                 for idx in self.db.indexes_on_mut(&schema.name) {
                     idx.remove_row(row_id);
                 }
-                self.index_insert_row(&schema, &new_values, row_id)?;
+                self.index_insert_row(&table, &new_values, row_id)?;
             }
             affected += 1;
         }
@@ -347,17 +374,15 @@ impl Engine {
     pub(crate) fn exec_delete(&mut self, del: &Delete) -> EngineResult<QueryResult> {
         self.cover("stmt.delete");
         let schema = self.db.require_table(&del.table)?.schema.clone();
-        let row_schema = RowSchema::single(SourceSchema {
-            name: schema.name.clone(),
-            columns: schema.columns.clone(),
-        });
         let doomed: Vec<RowId> = {
             let ev = self.evaluator();
             let table = self.db.require_table(&del.table)?;
+            let where_clause =
+                del.where_clause.as_ref().map(|w| ev.bind(w, &RowSchema::of_table(&schema)));
             let mut ids = Vec::new();
             for (id, row) in table.rows() {
-                let matches = match &del.where_clause {
-                    Some(w) => ev.eval_predicate(w, &row_schema, row)?.is_true(),
+                let matches = match &where_clause {
+                    Some(w) => ev.eval_bound_predicate(w, row)?.is_true(),
                     None => true,
                 };
                 if matches {

@@ -200,7 +200,7 @@ impl Engine {
 
     /// Builds an evaluator bound to the current option state.
     #[must_use]
-    pub fn evaluator(&self) -> Evaluator<'_> {
+    pub fn evaluator(&self) -> Evaluator {
         let mut ev = Evaluator::new(self.dialect, &self.bugs);
         ev.case_sensitive_like = self.db.option_bool("case_sensitive_like", false);
         ev

@@ -9,14 +9,19 @@
 //! **Late materialization.**  Up to projection a batch is a selection of
 //! source-row tuples over row lists that borrow each table's stored rows,
 //! so `Scan`, `Join`, `IndexProbe` and `Filter` move row indices and
-//! evaluate predicates on the tuples in place.  `Project` binds plain
-//! column items to flat indices once per query and copies only the values
-//! that land in an output row (a list of all columns in order copies each
-//! tuple whole); `Aggregate` groups tuples and folds them in place.  Those
-//! two are the only operators that copy values; `Distinct`, `Sort` and
-//! `Limit` rearrange the output rows.  Views, inheritance children, a
-//! `LEFT JOIN`'s pad row and the poisoned-column fault's rewritten rows
-//! own their rows (see `exec::batch`).
+//! evaluate predicates on the tuples in place.  Each operator that
+//! evaluates expressions (`Join`'s `ON`, `Filter`, `Project`, and
+//! `Aggregate`'s keys, `HAVING` and items) binds them to the batch schema
+//! once per query with `Evaluator::bind` and evaluates the bound trees by
+//! reference: no name is resolved per tuple, and reading a column copies
+//! nothing.  Values are cloned only where they are kept.  `Project` copies
+//! the values that land in an output row (a list of all columns in order
+//! copies each tuple whole); `Aggregate` groups tuples, folds them in
+//! place and copies its output values and group keys.  Those two are the
+//! only operators that copy values; `Distinct`, `Sort` and `Limit`
+//! rearrange the output rows.  Views, inheritance children, a `LEFT
+//! JOIN`'s pad row and the poisoned-column fault's rewritten rows own
+//! their rows (see `exec::batch`).
 //!
 //! **Determinism contract.**  The pipeline is a restructuring of the
 //! straight-line evaluator kept as `exec::reference`, the fault-free
@@ -44,10 +49,10 @@ use lancer_sql::value::Value;
 
 use crate::bugs::BugId;
 use crate::error::EngineResult;
-use crate::eval::{RowSchema, RowView};
+use crate::eval::{BoundExpr, RowSchema, RowView};
 use crate::exec::access::{find_equality_probe, probe_blocked_by_inheritance, probe_candidates};
 use crate::exec::batch::{RowBatch, SourceRows, Tuple};
-use crate::exec::query::{columnar_sum_tail_len, expr_references_column};
+use crate::exec::query::{columnar_sum_tail_len, expr_references_column, BoundAggregate};
 use crate::exec::{Engine, QueryResult};
 
 /// One stage of the physical pipeline for a `SELECT`.
@@ -140,33 +145,6 @@ impl<'q> Operator<'q> {
     }
 }
 
-/// A projection item bound to the batch schema once per query.
-enum Bound<'q> {
-    /// A column that resolves: copied from this flat index of each tuple.
-    Column(usize),
-    /// Any other item, evaluated per tuple (so an unresolvable column
-    /// still errors at the first row, as it would unbound).
-    Expr(&'q Expr),
-}
-
-/// Binds projection items: `*` to every flat column, a column reference
-/// that resolves to its flat index, anything else to its expression.
-fn bind_items<'q>(items: &'q [SelectItem], schema: &RowSchema) -> Vec<Bound<'q>> {
-    let mut bound = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            SelectItem::Wildcard => bound.extend((0..schema.width()).map(Bound::Column)),
-            SelectItem::Expr { expr, .. } => bound.push(match expr {
-                Expr::Column(c) => {
-                    schema.resolve(c).map_or(Bound::Expr(expr), |(i, _)| Bound::Column(i))
-                }
-                _ => Bound::Expr(expr),
-            }),
-        }
-    }
-    bound
-}
-
 impl Engine {
     pub(crate) fn exec_select(&self, s: &Select) -> EngineResult<QueryResult> {
         self.select_preflight(s)?;
@@ -229,17 +207,20 @@ impl Engine {
         let right = self.load_source(&join.table)?;
         let right_width = right.schema.columns.len();
         Arc::make_mut(&mut batch.schema).sources.push(right.schema);
-        let schema = Arc::clone(&batch.schema);
         match join.kind {
             JoinKind::Cross => self.cover("exec.cross_join"),
             JoinKind::Inner => self.cover("exec.inner_join"),
             JoinKind::Left => self.cover("exec.left_join"),
         }
         let pad = (join.kind == JoinKind::Left).then(|| vec![Value::Null; right_width]);
-        let on = join.on.as_ref().filter(|_| join.kind != JoinKind::Cross);
         let ev = self.evaluator();
-        batch.join(right.rows, pad, |t| match on {
-            Some(on) => Ok(ev.eval_predicate(on, &schema, &t)?.is_true()),
+        let on = join
+            .on
+            .as_ref()
+            .filter(|_| join.kind != JoinKind::Cross)
+            .map(|on| ev.bind(on, &batch.schema));
+        batch.join(right.rows, pad, |t| match &on {
+            Some(on) => Ok(ev.eval_bound_predicate(on, &t)?.is_true()),
             None => Ok(true),
         })?;
         Ok(batch)
@@ -370,27 +351,23 @@ impl Engine {
         Ok(Some(out))
     }
 
-    /// The `WHERE` filter over one batch, one tuple at a time in input
-    /// order (so evaluation errors rise in row order).
+    /// The `WHERE` filter over one batch: binds the predicate once, then
+    /// evaluates it one tuple at a time in input order (so evaluation
+    /// errors rise in row order).
     fn op_filter<'a>(&self, w: &Expr, mut batch: RowBatch<'a>) -> EngineResult<RowBatch<'a>> {
         self.cover("exec.where_filter");
-        // Injected fault: the LIKE optimisation on INTEGER-affinity NOCASE
-        // columns rejects exact matches (Listing 7).  The rewrite clones
-        // the predicate tree, so it only runs with the fault enabled.
-        let rewritten;
-        let where_clause: &Expr =
-            if self.bugs().is_enabled(BugId::SqliteLikeIntAffinityOptimisation) {
-                rewritten = rewrite_like_int_affinity(w, &batch.schema);
-                &rewritten
-            } else {
-                w
-            };
-        let tail_fault = self.bugs().is_enabled(BugId::DuckdbSelectionBitmapTailOffByOne);
         let ev = self.evaluator();
+        let mut predicate = ev.bind(w, &batch.schema);
+        // Injected fault: the LIKE optimisation on INTEGER-affinity NOCASE
+        // columns rejects exact matches (Listing 7).
+        if self.bugs().is_enabled(BugId::SqliteLikeIntAffinityOptimisation) {
+            rewrite_like_int_affinity(&mut predicate);
+        }
+        let tail_fault = self.bugs().is_enabled(BugId::DuckdbSelectionBitmapTailOffByOne);
         let mut kept = Vec::new();
         let mut kept_idx: Vec<usize> = Vec::new();
         for (i, t) in batch.tuples().enumerate() {
-            if ev.eval_predicate(where_clause, &batch.schema, &t)?.is_true() {
+            if ev.eval_bound_predicate(&predicate, &t)?.is_true() {
                 // Input indices are only needed to locate the tail fault's
                 // victim; skip the bookkeeping on the fault-free path.
                 if tail_fault {
@@ -451,19 +428,26 @@ impl Engine {
         columns
     }
 
-    /// Plain (non-aggregate) projection.  Like `Aggregate`, it copies only
-    /// the values that land in an output row.
+    /// Plain (non-aggregate) projection: binds the items once (`*` to a
+    /// column leaf per flat column) and, like `Aggregate`, copies only the
+    /// values that land in an output row.
     fn op_project<'a>(&self, s: &Select, mut batch: RowBatch<'a>) -> EngineResult<RowBatch<'a>> {
         self.apply_poisoned_columns(s, &mut batch);
         let columns = self.projection_columns(s, &batch.schema);
-        let items = bind_items(&s.items, &batch.schema);
+        let ev = self.evaluator();
+        let mut items = Vec::with_capacity(s.items.len());
+        for item in &s.items {
+            match item {
+                SelectItem::Wildcard => items.extend(batch.schema.column_leaves()),
+                SelectItem::Expr { expr, .. } => items.push(ev.bind(expr, &batch.schema)),
+            }
+        }
         // Every column in order: each output row is its tuple, copied whole.
         let whole_tuple = items.len() == batch.schema.width()
             && items
                 .iter()
                 .enumerate()
-                .all(|(k, item)| matches!(item, Bound::Column(i) if *i == k));
-        let ev = self.evaluator();
+                .all(|(k, item)| matches!(item, BoundExpr::Column { index, .. } if *index == k));
         let mut rows = Vec::with_capacity(batch.tuples().len());
         for t in batch.tuples() {
             if whole_tuple {
@@ -472,23 +456,31 @@ impl Engine {
             }
             let mut out_row = Vec::with_capacity(items.len());
             for item in &items {
-                out_row.push(match item {
-                    Bound::Column(i) => t.value(*i).cloned().unwrap_or(Value::Null),
-                    Bound::Expr(expr) => ev.eval(expr, &batch.schema, &t)?,
-                });
+                out_row.push(ev.eval_bound(item, &t)?.into_owned());
             }
             rows.push(out_row);
         }
         Ok(RowBatch { columns, rows, ..RowBatch::empty() })
     }
 
-    /// Grouping / aggregation projection: groups tuples and folds each
-    /// group in place, copying only the output values.
+    /// Grouping / aggregation projection: binds the grouping keys, `HAVING`
+    /// and the items once, groups tuples and folds each group in place,
+    /// copying only the output values and the group keys.
     fn op_aggregate<'a>(&self, s: &Select, mut batch: RowBatch<'a>) -> EngineResult<RowBatch<'a>> {
         self.apply_poisoned_columns(s, &mut batch);
         self.cover("exec.group_by");
         let schema = &*batch.schema;
         let ev = self.evaluator();
+        let group_by: Vec<BoundExpr<'_>> = s.group_by.iter().map(|g| ev.bind(g, schema)).collect();
+        let having = s.having.as_ref().map(|h| self.bind_aggregate(&ev, h, schema));
+        let items: Vec<Option<BoundAggregate<'_>>> = s
+            .items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Wildcard => None,
+                SelectItem::Expr { expr, .. } => Some(self.bind_aggregate(&ev, expr, schema)),
+            })
+            .collect();
         let mut group_keys: Vec<Vec<Value>> = Vec::new();
         let mut groups: Vec<Vec<Tuple<'_, 'a>>> = Vec::new();
         let mut input: Vec<Tuple<'_, 'a>> = batch.tuples().collect();
@@ -504,11 +496,11 @@ impl Engine {
             let mut seen: Vec<Value> = Vec::new();
             let mut filtered = Vec::new();
             for t in input {
-                let key = ev.eval(&s.group_by[0], schema, &t)?;
+                let key = ev.eval_bound(&group_by[0], &t)?;
                 if seen.iter().any(|k| k.same_as(&key)) {
                     continue;
                 }
-                seen.push(key);
+                seen.push(key.into_owned());
                 filtered.push(t);
             }
             input = filtered;
@@ -519,15 +511,15 @@ impl Engine {
             groups.push(input);
         } else {
             let drop_null_groups = self.bugs().is_enabled(BugId::SqliteGroupByNoCaseDuplicates)
-                && s.group_by.iter().any(|g| ev.collation_of(g, schema) == Collation::NoCase);
+                && group_by.iter().any(|g| g.collation() == Collation::NoCase);
             for t in input {
-                let mut key = Vec::with_capacity(s.group_by.len());
-                for g in &s.group_by {
-                    key.push(ev.eval(g, schema, &t)?);
+                let mut key = Vec::with_capacity(group_by.len());
+                for g in &group_by {
+                    key.push(ev.eval_bound(g, &t)?);
                 }
                 // Injected fault: NULL-keyed groups are dropped when grouping
                 // on a NOCASE column (§4.4 COLLATE bugs).
-                if drop_null_groups && key.iter().any(Value::is_null) {
+                if drop_null_groups && key.iter().any(|v| v.is_null()) {
                     continue;
                 }
                 match group_keys.iter().position(|k| {
@@ -535,7 +527,7 @@ impl Engine {
                 }) {
                     Some(i) => groups[i].push(t),
                     None => {
-                        group_keys.push(key);
+                        group_keys.push(key.into_iter().map(Cow::into_owned).collect());
                         groups.push(vec![t]);
                     }
                 }
@@ -546,23 +538,21 @@ impl Engine {
         let mut out_rows = Vec::new();
         for group in &groups {
             // HAVING.
-            if let Some(h) = &s.having {
+            if let Some(h) = &having {
                 self.cover("exec.having");
-                let hv = self.eval_aggregate_expr(h, schema, group)?;
-                if !self.evaluator().value_to_tribool(&hv)?.is_true() {
+                let hv = self.eval_aggregate_expr(&ev, h, group)?;
+                if !ev.value_to_tribool(&hv)?.is_true() {
                     continue;
                 }
             }
             let mut out_row = Vec::new();
-            for item in &s.items {
+            for item in &items {
                 match item {
-                    SelectItem::Wildcard => match group.first() {
+                    None => match group.first() {
                         Some(first) => out_row.extend(first.to_row()),
                         None => out_row.extend(std::iter::repeat_n(Value::Null, schema.width())),
                     },
-                    SelectItem::Expr { expr, .. } => {
-                        out_row.push(self.eval_aggregate_expr(expr, schema, group)?);
-                    }
+                    Some(expr) => out_row.push(self.eval_aggregate_expr(&ev, expr, group)?),
                 }
             }
             out_rows.push(out_row);
@@ -571,13 +561,11 @@ impl Engine {
         // even over an empty input.
         if s.group_by.is_empty() && out_rows.is_empty() && s.having.is_none() {
             let mut out_row = Vec::new();
-            for item in &s.items {
+            for item in &items {
                 match item {
-                    SelectItem::Wildcard => {
-                        out_row.extend(std::iter::repeat_n(Value::Null, schema.width()));
-                    }
-                    SelectItem::Expr { expr, .. } => {
-                        out_row.push(self.eval_aggregate_expr::<Tuple>(expr, schema, &[])?);
+                    None => out_row.extend(std::iter::repeat_n(Value::Null, schema.width())),
+                    Some(expr) => {
+                        out_row.push(self.eval_aggregate_expr::<Tuple>(&ev, expr, &[])?);
                     }
                 }
             }
@@ -679,36 +667,37 @@ fn find_is_not_literal_column(expr: &Expr) -> Option<String> {
     }
 }
 
-/// Rewrites `col LIKE pattern` into `0` when `col` is an INTEGER-affinity
-/// NOCASE column and the pattern contains no wildcard — the shape of the
-/// broken LIKE optimisation from Listing 7.
-fn rewrite_like_int_affinity(expr: &Expr, schema: &RowSchema) -> Expr {
+/// Rewrites a bound `col LIKE pattern` into the literal `0` (`1` for `NOT
+/// LIKE`) when `col` is an INTEGER-affinity NOCASE column and the pattern
+/// is a text literal without wildcard — the shape of the broken LIKE
+/// optimisation from Listing 7.  It looks through binary and unary
+/// operators only.  A `LIKE` and the literal that replaces it both carry
+/// `BINARY` collation and no declared type, so the parents' bound
+/// comparison attributes stay valid.
+fn rewrite_like_int_affinity(expr: &mut BoundExpr<'_>) {
     match expr {
-        Expr::Like { negated, expr: inner, pattern } => {
-            if let (Expr::Column(c), Expr::Literal(Value::Text(p))) =
-                (inner.as_ref(), pattern.as_ref())
-            {
-                if !p.contains('%') && !p.contains('_') {
-                    if let Some((_, meta)) = schema.resolve(c) {
-                        if meta.type_name == Some(TypeName::Integer)
-                            && meta.collation == Collation::NoCase
-                        {
-                            return Expr::Literal(Value::Integer(i64::from(*negated)));
-                        }
-                    }
+        BoundExpr::Like { negated, expr: inner, pattern, .. } => {
+            let int_nocase_column = matches!(
+                **inner,
+                BoundExpr::Column {
+                    type_name: Some(TypeName::Integer),
+                    collation: Collation::NoCase,
+                    ..
                 }
+            );
+            let plain_text = matches!(&**pattern, BoundExpr::Literal(p)
+                if matches!(&**p, Value::Text(p) if !p.contains('%') && !p.contains('_')));
+            if int_nocase_column && plain_text {
+                let negated = *negated;
+                *expr = BoundExpr::Literal(Cow::Owned(Value::Integer(i64::from(negated))));
             }
-            expr.clone()
         }
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(rewrite_like_int_affinity(left, schema)),
-            right: Box::new(rewrite_like_int_affinity(right, schema)),
-        },
-        Expr::Unary { op, expr: inner } => {
-            Expr::Unary { op: *op, expr: Box::new(rewrite_like_int_affinity(inner, schema)) }
+        BoundExpr::Binary { left, right, .. } => {
+            rewrite_like_int_affinity(left);
+            rewrite_like_int_affinity(right);
         }
-        other => other.clone(),
+        BoundExpr::Unary { expr: inner, .. } => rewrite_like_int_affinity(inner),
+        _ => {}
     }
 }
 
@@ -857,7 +846,7 @@ mod tests {
         let fault = BugProfile::with(&[BugId::DuckdbSelectionBitmapTailOffByOne]);
         // The filter loses the last kept row of the partial tail lane
         // group (rows 8.. of 9).
-        let mut duckdb = Engine::with_bugs(Dialect::Duckdb, fault.clone());
+        let mut duckdb = Engine::with_bugs(Dialect::Duckdb, fault);
         duckdb.execute_script(&setup).unwrap();
         let got = duckdb.execute_sql("SELECT c0 FROM t0 WHERE c0 >= 1").unwrap();
         assert_eq!(got.rows.len(), 8, "row with c0 = 9 should be dropped");
@@ -904,7 +893,7 @@ mod tests {
         let setup = "CREATE TABLE t0(c0 INTEGER);
              INSERT INTO t0(c0) VALUES (1), (2), (3), (4), (5), (6), (7), (8), (9), (10);";
         let fault = BugProfile::with(&[BugId::DuckdbSumLaneWideningSkipsTail]);
-        let mut duckdb = Engine::with_bugs(Dialect::Duckdb, fault.clone());
+        let mut duckdb = Engine::with_bugs(Dialect::Duckdb, fault);
         duckdb.execute_script(setup).unwrap();
         // Only the first 8 of 10 values are folded: 36 instead of 55.
         let got = duckdb.execute_sql("SELECT SUM(c0) FROM t0").unwrap();

@@ -9,7 +9,9 @@
 //! stores (a view's result, child rows projected onto an inheritance
 //! parent).  [`Engine::eval_aggregate_expr`] folds a group through the
 //! [`RowView`] trait, so the pipeline's groups of borrowed tuples and the
-//! reference's groups of owned rows share one implementation.
+//! reference's groups of owned rows share one implementation; both bind
+//! their aggregate-context expressions once per query with
+//! [`Engine::bind_aggregate`].
 //!
 //! Most containment-oracle faults fire inside `SELECT` execution, because
 //! that is where a real DBMS's planner and optimisations live — exactly
@@ -20,7 +22,7 @@
 
 use std::borrow::Cow;
 
-use lancer_sql::ast::expr::{AggFunc, BinaryOp, Expr, TypeName};
+use lancer_sql::ast::expr::{AggFunc, BinaryOp, Expr, TypeName, UnaryOp};
 use lancer_sql::ast::stmt::{CompoundOp, Query, Select, TableEngine};
 use lancer_sql::collation::Collation;
 use lancer_sql::value::Value;
@@ -30,7 +32,7 @@ use lancer_storage::StorageError;
 use crate::bugs::BugId;
 use crate::dialect::Dialect;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{eval_aggregate, RowSchema, RowView, SourceSchema};
+use crate::eval::{eval_aggregate, BoundExpr, Evaluator, RowSchema, RowView, SourceSchema};
 use crate::exec::batch::SourceRows;
 use crate::exec::{Engine, QueryResult};
 
@@ -306,22 +308,45 @@ impl Engine {
         Ok(())
     }
 
-    /// Evaluates an expression that may contain aggregate calls over a group
-    /// of rows.
+    /// Binds an expression that may contain aggregate calls to the schema
+    /// of the rows it folds, once per query.
+    pub(crate) fn bind_aggregate<'e>(
+        &self,
+        ev: &Evaluator,
+        expr: &'e Expr,
+        schema: &RowSchema,
+    ) -> BoundAggregate<'e> {
+        let bind = |e: &'e Expr| Box::new(self.bind_aggregate(ev, e, schema));
+        match expr {
+            Expr::Aggregate { func, arg, distinct } => BoundAggregate::Fold {
+                func: *func,
+                arg: arg.as_deref().map(|a| ev.bind(a, schema)),
+                distinct: *distinct,
+            },
+            _ if !expr.contains_aggregate() => BoundAggregate::Row(ev.bind(expr, schema)),
+            Expr::Binary { op, left, right } => {
+                BoundAggregate::Binary { op: *op, left: bind(left), right: bind(right) }
+            }
+            Expr::Unary { op, expr: inner } => BoundAggregate::Unary { op: *op, expr: bind(inner) },
+            other => BoundAggregate::Unsupported(other),
+        }
+    }
+
+    /// Evaluates a bound aggregate-context expression over a group of
+    /// rows.  Aggregate inputs borrow the group's values.
     pub(crate) fn eval_aggregate_expr<R: RowView>(
         &self,
-        expr: &Expr,
-        schema: &RowSchema,
+        ev: &Evaluator,
+        expr: &BoundAggregate<'_>,
         group: &[R],
     ) -> EngineResult<Value> {
         self.cover("expr.aggregate");
-        let ev = self.evaluator();
         match expr {
-            Expr::Aggregate { func, arg, distinct } => {
-                let mut values: Vec<Value> = match arg {
-                    None => group.iter().map(|_| Value::Integer(1)).collect(),
+            BoundAggregate::Fold { func, arg, distinct } => {
+                let mut values: Vec<Cow<'_, Value>> = match arg {
+                    None => group.iter().map(|_| Cow::Owned(Value::Integer(1))).collect(),
                     Some(a) => {
-                        group.iter().map(|r| ev.eval(a, schema, r)).collect::<EngineResult<_>>()?
+                        group.iter().map(|r| ev.eval_bound(a, r)).collect::<EngineResult<_>>()?
                     }
                 };
                 // Injected fault: the vectorised SUM fold processes whole
@@ -339,36 +364,52 @@ impl Engine {
             }
             // Non-aggregate expressions are evaluated against the first row
             // of the group (the bare-column shortcut SQLite and MySQL allow).
-            _ if !expr.contains_aggregate() => match group.first() {
-                Some(r) => ev.eval(expr, schema, r),
+            BoundAggregate::Row(e) => match group.first() {
+                Some(r) => ev.eval_bound(e, r).map(Cow::into_owned),
                 None => Ok(Value::Null),
             },
-            Expr::Binary { op, left, right } => {
-                let l = self.eval_aggregate_expr(left, schema, group)?;
-                let r = self.eval_aggregate_expr(right, schema, group)?;
-                ev.eval(
-                    &Expr::Binary {
-                        op: *op,
-                        left: Box::new(Expr::Literal(l)),
-                        right: Box::new(Expr::Literal(r)),
-                    },
-                    &RowSchema::empty(),
-                    NO_ROW,
-                )
+            // The folded operands combine like literals: no collation and
+            // no declared type.
+            BoundAggregate::Binary { op, left, right } => {
+                let l = self.eval_aggregate_expr(ev, left, group)?;
+                let r = self.eval_aggregate_expr(ev, right, group)?;
+                let combined = BoundExpr::Binary {
+                    op: *op,
+                    left: Box::new(BoundExpr::Literal(Cow::Owned(l))),
+                    right: Box::new(BoundExpr::Literal(Cow::Owned(r))),
+                    collation: Collation::Binary,
+                    types: [None, None],
+                };
+                ev.eval_bound(&combined, NO_ROW).map(Cow::into_owned)
             }
-            Expr::Unary { op, expr: inner } => {
-                let v = self.eval_aggregate_expr(inner, schema, group)?;
-                ev.eval(
-                    &Expr::Unary { op: *op, expr: Box::new(Expr::Literal(v)) },
-                    &RowSchema::empty(),
-                    NO_ROW,
-                )
+            BoundAggregate::Unary { op, expr: inner } => {
+                let v = self.eval_aggregate_expr(ev, inner, group)?;
+                let combined =
+                    BoundExpr::Unary { op: *op, expr: Box::new(BoundExpr::Literal(Cow::Owned(v))) };
+                ev.eval_bound(&combined, NO_ROW).map(Cow::into_owned)
             }
-            other => Err(EngineError::semantic(format!(
+            BoundAggregate::Unsupported(other) => Err(EngineError::semantic(format!(
                 "unsupported aggregate expression shape: {other}"
             ))),
         }
     }
+}
+
+/// An expression in aggregate context (a projection item or `HAVING` of
+/// an aggregating `SELECT`), bound once per query by
+/// [`Engine::bind_aggregate`].
+pub(crate) enum BoundAggregate<'e> {
+    /// An aggregate call, folded over the group.
+    Fold { func: AggFunc, arg: Option<BoundExpr<'e>>, distinct: bool },
+    /// An expression without aggregates, evaluated on the group's first
+    /// row.
+    Row(BoundExpr<'e>),
+    /// A binary operator over two aggregate-context operands.
+    Binary { op: BinaryOp, left: Box<BoundAggregate<'e>>, right: Box<BoundAggregate<'e>> },
+    /// A unary operator over an aggregate-context operand.
+    Unary { op: UnaryOp, expr: Box<BoundAggregate<'e>> },
+    /// Any other shape holding an aggregate: an error when evaluated.
+    Unsupported(&'e Expr),
 }
 
 /// Lane width of the vectorised engine the DuckDB profile emulates.  Its

@@ -26,8 +26,8 @@ use lancer_sql::value::Value;
 use lancer_storage::schema::ColumnMeta;
 
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{RowSchema, SourceSchema};
-use crate::exec::query::contains;
+use crate::eval::{BoundExpr, RowSchema, SourceSchema};
+use crate::exec::query::{contains, BoundAggregate};
 use crate::exec::{Engine, QueryResult};
 
 /// The owned rows of one `FROM` source together with its schema.
@@ -204,6 +204,7 @@ impl Engine {
                 JoinKind::Left => self.cover("exec.left_join"),
             }
             let ev = self.evaluator();
+            let on = join.on.as_ref().map(|on| ev.bind(on, &schema));
             let mut next: Vec<Vec<Value>> = Vec::new();
             match join.kind {
                 JoinKind::Cross => {
@@ -213,9 +214,9 @@ impl Engine {
                     for l in &rows {
                         for r in &right.rows {
                             let combined = concat_row(l, r);
-                            let keep = match &join.on {
+                            let keep = match &on {
                                 Some(on) => {
-                                    ev.eval_predicate(on, &schema, combined.as_slice())?.is_true()
+                                    ev.eval_bound_predicate(on, combined.as_slice())?.is_true()
                                 }
                                 None => true,
                             };
@@ -230,9 +231,9 @@ impl Engine {
                         let mut matched = false;
                         for r in &right.rows {
                             let combined = concat_row(l, r);
-                            let keep = match &join.on {
+                            let keep = match &on {
                                 Some(on) => {
-                                    ev.eval_predicate(on, &schema, combined.as_slice())?.is_true()
+                                    ev.eval_bound_predicate(on, combined.as_slice())?.is_true()
                                 }
                                 None => true,
                             };
@@ -267,9 +268,10 @@ impl Engine {
         if let Some(w) = &s.where_clause {
             self.cover("exec.where_filter");
             let ev = self.evaluator();
+            let w = ev.bind(w, &schema);
             let mut kept = Vec::new();
             for r in rows {
-                if ev.eval_predicate(w, &schema, r.as_slice())?.is_true() {
+                if ev.eval_bound_predicate(&w, r.as_slice())?.is_true() {
                     kept.push(r);
                 }
             }
@@ -409,15 +411,21 @@ impl Engine {
                 }
             }
         }
+        let items: Vec<Option<BoundExpr<'_>>> = s
+            .items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Wildcard => None,
+                SelectItem::Expr { expr, .. } => Some(ev.bind(expr, schema)),
+            })
+            .collect();
         let mut projected = Vec::with_capacity(rows.len());
         for r in rows {
             let mut out_row = Vec::with_capacity(columns.len());
-            for item in &s.items {
+            for item in &items {
                 match item {
-                    SelectItem::Wildcard => out_row.extend(r.iter().cloned()),
-                    SelectItem::Expr { expr, .. } => {
-                        out_row.push(ev.eval(expr, schema, r.as_slice())?)
-                    }
+                    None => out_row.extend(r.iter().cloned()),
+                    Some(expr) => out_row.push(ev.eval_bound(expr, r.as_slice())?.into_owned()),
                 }
             }
             projected.push(out_row);
@@ -433,6 +441,16 @@ impl Engine {
     ) -> EngineResult<(Vec<String>, Vec<Vec<Value>>)> {
         self.cover("exec.group_by");
         let ev = self.evaluator();
+        let group_by: Vec<BoundExpr<'_>> = s.group_by.iter().map(|g| ev.bind(g, schema)).collect();
+        let having = s.having.as_ref().map(|h| self.bind_aggregate(&ev, h, schema));
+        let items: Vec<Option<BoundAggregate<'_>>> = s
+            .items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Wildcard => None,
+                SelectItem::Expr { expr, .. } => Some(self.bind_aggregate(&ev, expr, schema)),
+            })
+            .collect();
         // Build groups.
         let mut group_keys: Vec<Vec<Value>> = Vec::new();
         let mut groups: Vec<Vec<&[Value]>> = Vec::new();
@@ -443,9 +461,9 @@ impl Engine {
         } else {
             for r in &rows {
                 let r = r.as_slice();
-                let mut key = Vec::with_capacity(s.group_by.len());
-                for g in &s.group_by {
-                    key.push(ev.eval(g, schema, r)?);
+                let mut key = Vec::with_capacity(group_by.len());
+                for g in &group_by {
+                    key.push(ev.eval_bound(g, r)?.into_owned());
                 }
                 match group_keys.iter().position(|k| {
                     k.len() == key.len() && k.iter().zip(key.iter()).all(|(a, b)| a.same_as(b))
@@ -476,26 +494,24 @@ impl Engine {
         let mut out_rows = Vec::new();
         for group in &groups {
             // HAVING.
-            if let Some(h) = &s.having {
+            if let Some(h) = &having {
                 self.cover("exec.having");
-                let hv = self.eval_aggregate_expr(h, schema, group)?;
-                if !self.evaluator().value_to_tribool(&hv)?.is_true() {
+                let hv = self.eval_aggregate_expr(&ev, h, group)?;
+                if !ev.value_to_tribool(&hv)?.is_true() {
                     continue;
                 }
             }
             let mut out_row = Vec::new();
-            for item in &s.items {
+            for item in &items {
                 match item {
-                    SelectItem::Wildcard => {
+                    None => {
                         if let Some(first) = group.first() {
                             out_row.extend(first.iter().cloned());
                         } else {
                             out_row.extend(std::iter::repeat_n(Value::Null, schema.width()));
                         }
                     }
-                    SelectItem::Expr { expr, .. } => {
-                        out_row.push(self.eval_aggregate_expr(expr, schema, group)?);
-                    }
+                    Some(expr) => out_row.push(self.eval_aggregate_expr(&ev, expr, group)?),
                 }
             }
             out_rows.push(out_row);
@@ -504,13 +520,11 @@ impl Engine {
         // even over an empty input.
         if s.group_by.is_empty() && out_rows.is_empty() && s.having.is_none() {
             let mut out_row = Vec::new();
-            for item in &s.items {
+            for item in &items {
                 match item {
-                    SelectItem::Wildcard => {
-                        out_row.extend(std::iter::repeat_n(Value::Null, schema.width()));
-                    }
-                    SelectItem::Expr { expr, .. } => {
-                        out_row.push(self.eval_aggregate_expr::<&[Value]>(expr, schema, &[])?);
+                    None => out_row.extend(std::iter::repeat_n(Value::Null, schema.width())),
+                    Some(expr) => {
+                        out_row.push(self.eval_aggregate_expr::<&[Value]>(&ev, expr, &[])?);
                     }
                 }
             }

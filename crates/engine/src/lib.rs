@@ -31,6 +31,6 @@ pub use bugs::{BugId, BugInfo, BugProfile, BugStatus, Oracle};
 pub use coverage::Coverage;
 pub use dialect::Dialect;
 pub use error::{EngineError, EngineResult, ErrorClass};
-pub use eval::{Evaluator, RowSchema, RowView, SourceSchema};
+pub use eval::{BoundExpr, Evaluator, RowSchema, RowView, SourceSchema};
 pub use exec::{workspace_rewinds, Engine, QueryResult, SessionHandle, WorkspaceSnapshot};
 pub use plan::{PlanFingerprint, PlanNode, QueryPlan, ScanKind};

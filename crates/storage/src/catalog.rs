@@ -4,6 +4,7 @@
 //! generators query dynamically (the `sqlite_master` /
 //! `information_schema.tables` analogue described in §3.4 of the paper).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -16,6 +17,17 @@ use crate::error::{StorageError, StorageResult};
 use crate::index::{Index, IndexDef};
 use crate::schema::TableSchema;
 use crate::table::Table;
+
+/// The catalog key of an object name: names are case-insensitive and keyed
+/// in lower case.  Generated names already are, so a lookup lowercases (and
+/// allocates) only for a name with an ASCII capital in it.
+fn catalog_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
 
 /// A stored view definition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -118,18 +130,18 @@ impl Database {
     /// Returns a table by name.
     #[must_use]
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(&name.to_ascii_lowercase()).map(Arc::as_ref)
+        self.tables.get(&*catalog_key(name)).map(Arc::as_ref)
     }
 
     /// Returns a mutable table by name, unsharing it from any snapshot
     /// that still holds the same node.  A missing table never unshares
     /// the map.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        let key = name.to_ascii_lowercase();
-        if !self.tables.contains_key(&key) {
+        let key = catalog_key(name);
+        if !self.tables.contains_key(&*key) {
             return None;
         }
-        Arc::make_mut(&mut self.tables).get_mut(&key).map(cow::make_mut_table)
+        Arc::make_mut(&mut self.tables).get_mut(&*key).map(cow::make_mut_table)
     }
 
     /// Returns a table or a [`StorageError::NoSuchTable`] error.
@@ -221,17 +233,17 @@ impl Database {
     /// Returns an index by name.
     #[must_use]
     pub fn index(&self, name: &str) -> Option<&Index> {
-        self.indexes.get(&name.to_ascii_lowercase()).map(Arc::as_ref)
+        self.indexes.get(&*catalog_key(name)).map(Arc::as_ref)
     }
 
     /// Returns a mutable index by name, unsharing it from any snapshot.
     /// A missing index never unshares the map.
     pub fn index_mut(&mut self, name: &str) -> Option<&mut Index> {
-        let key = name.to_ascii_lowercase();
-        if !self.indexes.contains_key(&key) {
+        let key = catalog_key(name);
+        if !self.indexes.contains_key(&*key) {
             return None;
         }
-        Arc::make_mut(&mut self.indexes).get_mut(&key).map(cow::make_mut_index)
+        Arc::make_mut(&mut self.indexes).get_mut(&*key).map(cow::make_mut_index)
     }
 
     /// All indexes on a table.
@@ -302,7 +314,7 @@ impl Database {
     /// Returns a view by name.
     #[must_use]
     pub fn view(&self, name: &str) -> Option<&View> {
-        self.views.get(&name.to_ascii_lowercase())
+        self.views.get(&*catalog_key(name))
     }
 
     /// All view names.
@@ -321,7 +333,7 @@ impl Database {
     /// Reads a run-time option.
     #[must_use]
     pub fn option(&self, name: &str) -> Option<&Value> {
-        self.options.get(&name.to_ascii_lowercase())
+        self.options.get(&*catalog_key(name))
     }
 
     /// Reads a boolean-ish option with a default.
@@ -439,6 +451,23 @@ mod tests {
         assert!(db.option_bool("case_sensitive_like", false));
         assert!(!db.option_bool("missing", false));
         assert_eq!(db.option("case_sensitive_like"), Some(&Value::Integer(1)));
+    }
+
+    #[test]
+    fn mixed_case_names_resolve() {
+        let mut db = Database::new();
+        db.create_table(simple_schema("t0")).unwrap();
+        db.create_index(simple_index("i0", "t0")).unwrap();
+        db.create_view(View { name: "v0".into(), query: Select::star(vec!["t0".into()]) }).unwrap();
+        db.set_option("case_sensitive_like", Value::Integer(1));
+        assert!(db.table("T0").is_some() && db.table_mut("T0").is_some());
+        assert!(db.index("I0").is_some() && db.index_mut("I0").is_some());
+        assert!(db.view("V0").is_some());
+        assert_eq!(db.option("CASE_SENSITIVE_LIKE"), Some(&Value::Integer(1)));
+        db.set_option("Mixed_Case", Value::Integer(2));
+        assert_eq!(db.option("mixed_case"), Some(&Value::Integer(2)));
+        assert!(db.table("T1").is_none() && db.table_mut("T1").is_none());
+        assert!(db.index("I1").is_none() && db.index_mut("I1").is_none());
     }
 
     #[test]

@@ -6,18 +6,24 @@
 //! campaign's findings attributable to injected faults rather than to
 //! oracle divergence.
 
-use lancer_core::gen::{random_expression, random_value, GenConfig, StateGenerator, VisibleColumn};
+use lancer_core::gen::{
+    random_expression, random_like_pattern, random_value, GenConfig, StateGenerator, VisibleColumn,
+};
+use lancer_core::interp::simple_like;
 use lancer_core::{rectify, ContainmentOracle, Interpreter, PivotColumn, PivotRow, ReproSpec};
-use lancer_engine::{BugProfile, Dialect, Engine, Evaluator, RowSchema, SourceSchema};
-use lancer_sql::ast::expr::BinaryOp;
+use lancer_engine::eval::like_match;
+use lancer_engine::{BoundExpr, BugProfile, Dialect, Engine, Evaluator, RowSchema, SourceSchema};
+use lancer_sql::ast::expr::{BinaryOp, TypeName};
 use lancer_sql::ast::stmt::ColumnDef;
 use lancer_sql::ast::Expr;
+use lancer_sql::collation::Collation;
 use lancer_sql::parser::{parse_expression, parse_statement};
 use lancer_sql::value::{TriBool, Value};
 use lancer_storage::schema::ColumnMeta;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 /// Builds a pivot row + matching engine row schema with three columns of
 /// random values.
@@ -35,6 +41,109 @@ fn fixture(values: &[Value; 3]) -> (PivotRow, RowSchema, Vec<Value>) {
     (pivot, schema, values.to_vec())
 }
 
+/// Builds a pivot row over two sources, `t0(c0, c1, c2)` and `t1(c0, c1)`,
+/// and the matching engine row schema.  Every column gets a random
+/// declared type the dialect supports, in a dialect with collations a
+/// random collation, and either its value from `drawn` (arbitrary values
+/// of every type) or one from the generator (which favours case and
+/// trailing-space variants of short strings), so a wrong flat offset or
+/// a dropped collation shows as a divergence.
+fn two_source_fixture(
+    rng: &mut StdRng,
+    dialect: Dialect,
+    drawn: &[Value],
+) -> (PivotRow, RowSchema) {
+    let mut types: Vec<Option<TypeName>> =
+        dialect.supported_types().into_iter().map(Some).collect();
+    if dialect.allows_untyped_columns() {
+        types.push(None);
+    }
+    let mut pivot = PivotRow::default();
+    let mut schema = RowSchema::default();
+    let mut drawn = drawn.iter();
+    for (table, width) in [("t0", 3), ("t1", 2)] {
+        let mut columns = Vec::new();
+        for i in 0..width {
+            let def = ColumnDef::new(format!("c{i}"), *types.choose(rng).expect("non-empty"));
+            let mut meta = ColumnMeta::from_def(&def);
+            if dialect.has_collations() {
+                meta.collation = *Collation::ALL.choose(rng).expect("non-empty");
+            }
+            let drawn = drawn.next().expect("one drawn value per column").clone();
+            let value = if rng.gen_bool(0.5) { drawn } else { random_value(rng, dialect) };
+            pivot.columns.push(PivotColumn { table: table.into(), meta: meta.clone(), value });
+            columns.push(meta);
+        }
+        schema.sources.push(SourceSchema { name: table.into(), columns });
+    }
+    (pivot, schema)
+}
+
+fn visible_columns(pivot: &PivotRow) -> Vec<VisibleColumn> {
+    pivot
+        .columns
+        .iter()
+        .map(|c| VisibleColumn { table: c.table.clone(), meta: c.meta.clone() })
+        .collect()
+}
+
+/// A node's kind, with the operator or flag that selects its semantics
+/// and, for a column, what it resolves to.
+fn ast_kind(e: &Expr, schema: &RowSchema) -> String {
+    match e {
+        Expr::Literal(_) => "literal".into(),
+        Expr::Column(c) => match schema.resolve(c) {
+            Some((index, meta)) => {
+                format!("column {index} {:?} {:?}", meta.collation, meta.type_name)
+            }
+            None => "column unresolved".into(),
+        },
+        Expr::Unary { op, .. } => format!("unary {op:?}"),
+        Expr::Binary { op, .. } => format!("binary {op:?}"),
+        Expr::Like { negated, .. } => format!("like {negated}"),
+        Expr::Between { negated, .. } => format!("between {negated}"),
+        Expr::InList { negated, .. } => format!("in {negated}"),
+        Expr::IsNull { negated, .. } => format!("is null {negated}"),
+        Expr::Cast { type_name, .. } => format!("cast {type_name:?}"),
+        Expr::Case { operand, .. } => format!("case {}", operand.is_some()),
+        Expr::Function { func, .. } => format!("function {func:?}"),
+        Expr::Aggregate { .. } => "aggregate".into(),
+        Expr::Collate { collation, .. } => format!("collate {collation:?}"),
+    }
+}
+
+fn bound_kind(e: &BoundExpr<'_>) -> String {
+    match e {
+        BoundExpr::Literal(_) => "literal".into(),
+        BoundExpr::Column { index, collation, type_name } => {
+            format!("column {index} {collation:?} {type_name:?}")
+        }
+        BoundExpr::Unresolved(_) => "column unresolved".into(),
+        BoundExpr::Unary { op, .. } => format!("unary {op:?}"),
+        BoundExpr::Binary { op, .. } => format!("binary {op:?}"),
+        BoundExpr::Like { negated, .. } => format!("like {negated}"),
+        BoundExpr::Between { negated, .. } => format!("between {negated}"),
+        BoundExpr::InList { negated, .. } => format!("in {negated}"),
+        BoundExpr::IsNull { negated, .. } => format!("is null {negated}"),
+        BoundExpr::Cast { type_name, .. } => format!("cast {type_name:?}"),
+        BoundExpr::Case { operand, .. } => format!("case {}", operand.is_some()),
+        BoundExpr::Function { func, .. } => format!("function {func:?}"),
+        BoundExpr::Aggregate { .. } => "aggregate".into(),
+        BoundExpr::Collate { collation, .. } => format!("collate {collation:?}"),
+    }
+}
+
+/// The node kinds of an expression tree in preorder.
+fn ast_kinds(e: &Expr, schema: &RowSchema, out: &mut Vec<String>) {
+    out.push(ast_kind(e, schema));
+    e.for_each_child(&mut |c| ast_kinds(c, schema, out));
+}
+
+fn bound_kinds(e: &BoundExpr<'_>, out: &mut Vec<String>) {
+    out.push(bound_kind(e));
+    e.for_each_child(&mut |c| bound_kinds(c, out));
+}
+
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
@@ -49,36 +158,97 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 160, ..ProptestConfig::default() })]
 
     /// The engine's evaluator and the PQS interpreter agree on every random
-    /// expression for every dialect when no faults are enabled.
+    /// expression for every dialect when no faults are enabled.  The row
+    /// joins two sources with random declared types and collations, and
+    /// the expressions reference columns of both by qualified name, so the
+    /// engine's binder (flat offsets, collations, types) is checked against
+    /// the interpreter's independent name resolution.  Besides the random
+    /// expression, every column is compared with every column (`=` and
+    /// `<`), so each column's offset and collation decide some result.
     #[test]
     fn interpreter_matches_engine_evaluator(
         seed in any::<u64>(),
-        v0 in value_strategy(),
-        v1 in value_strategy(),
-        v2 in value_strategy(),
+        drawn in proptest::collection::vec(value_strategy(), 5..6),
     ) {
-        let values = [v0, v1, v2];
-        let (pivot, schema, row) = fixture(&values);
-        let columns: Vec<VisibleColumn> = pivot
-            .columns
-            .iter()
-            .map(|c| VisibleColumn { table: c.table.clone(), meta: c.meta.clone() })
-            .collect();
         let mut rng = StdRng::seed_from_u64(seed);
         for dialect in Dialect::ALL {
-            let expr = random_expression(&mut rng, &columns, dialect, 0);
+            let (pivot, schema) = two_source_fixture(&mut rng, dialect, &drawn);
+            let row = pivot.values();
+            let columns = visible_columns(&pivot);
+            let col = |c: &VisibleColumn| Expr::qcol(c.table.clone(), c.meta.name.clone());
+            let mut exprs = vec![random_expression(&mut rng, &columns, dialect, 0)];
+            for l in &columns {
+                for r in &columns {
+                    exprs.push(Expr::binary(BinaryOp::Eq, col(l), col(r)));
+                    exprs.push(Expr::binary(BinaryOp::Lt, col(l), col(r)));
+                }
+            }
             let bugs = BugProfile::none();
             let engine_eval = Evaluator::new(dialect, &bugs);
             let interp = Interpreter::new(dialect);
-            let engine_result = engine_eval.eval(&expr, &schema, row.as_slice());
-            let interp_result = interp.eval(&expr, &pivot);
-            match (engine_result, interp_result) {
-                (Ok(a), Ok(b)) => prop_assert!(
-                    a.same_as(&b) || (a.is_null() && b.is_null()),
-                    "{dialect:?}: engine={a:?} interp={b:?} for {expr}"
-                ),
-                (Err(_), Err(_)) => {}
-                (a, b) => prop_assert!(false, "{dialect:?}: divergent outcome for {expr}: engine={a:?} interp={b:?}"),
+            for expr in &exprs {
+                let engine_result = engine_eval.eval(expr, &schema, row.as_slice());
+                let interp_result = interp.eval(expr, &pivot);
+                match (engine_result, interp_result) {
+                    (Ok(a), Ok(b)) => prop_assert!(
+                        a.same_as(&b) || (a.is_null() && b.is_null()),
+                        "{dialect:?}: engine={a:?} interp={b:?} for {expr}"
+                    ),
+                    (Err(_), Err(_)) => {}
+                    (a, b) => prop_assert!(false, "{dialect:?}: divergent outcome for {expr}: engine={a:?} interp={b:?}"),
+                }
+            }
+        }
+    }
+
+    /// Binding keeps the AST's shape: the bound tree has the same node
+    /// kinds in the same preorder, unresolvable columns included, so the
+    /// fault hooks that inspect shape see what they saw on the AST.  Each
+    /// column leaf carries what the schema resolves its name to: flat
+    /// index, collation and declared type.
+    #[test]
+    fn bound_tree_has_the_ast_shape(
+        seed in any::<u64>(),
+        drawn in proptest::collection::vec(value_strategy(), 5..6),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for dialect in Dialect::ALL {
+            let (pivot, schema) = two_source_fixture(&mut rng, dialect, &drawn);
+            let mut columns = visible_columns(&pivot);
+            columns.push(VisibleColumn {
+                table: "t9".into(),
+                meta: ColumnMeta::from_def(&ColumnDef::new("c9", None)),
+            });
+            let expr = random_expression(&mut rng, &columns, dialect, 0);
+            let bound = Evaluator::new(dialect, &BugProfile::none()).bind(&expr, &schema);
+            let (mut ast, mut bound_shape) = (Vec::new(), Vec::new());
+            ast_kinds(&expr, &schema, &mut ast);
+            bound_kinds(&bound, &mut bound_shape);
+            prop_assert_eq!(ast, bound_shape, "{:?}: {}", dialect, expr);
+        }
+    }
+
+    /// The engine's allocation-free `LIKE` matcher agrees with the
+    /// interpreter's brute-force one on patterns built from the
+    /// generator's parts and short texts over the same alphabet (non-ASCII
+    /// letters included), in both case modes.
+    #[test]
+    fn like_matcher_agrees_with_brute_force(seed in any::<u64>()) {
+        const ALPHABET: [char; 12] = ['a', 'A', 'b', 'B', '.', '/', '%', '_', '\\', ' ', 'é', 'ß'];
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..16 {
+            let mut pattern = random_like_pattern(&mut rng);
+            if rng.gen_bool(0.5) {
+                pattern.push_str(&random_like_pattern(&mut rng));
+            }
+            let len = rng.gen_range(0..=6);
+            let text: String = (0..len).map(|_| *ALPHABET.choose(&mut rng).expect("non-empty")).collect();
+            for case_sensitive in [false, true] {
+                prop_assert_eq!(
+                    like_match(&pattern, &text, case_sensitive),
+                    simple_like(&pattern, &text, case_sensitive),
+                    "{:?} LIKE {:?} (case sensitive: {})", text, pattern, case_sensitive
+                );
             }
         }
     }

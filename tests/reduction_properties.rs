@@ -45,7 +45,7 @@ fn synthesize_detection(
     let (log, _) =
         StateGenerator::new(dialect, gen.clone()).generate_database(&mut rng, &mut clean);
     let profile = BugProfile::all_for(dialect);
-    let mut faulty = Engine::with_bugs(dialect, profile.clone());
+    let mut faulty = Engine::with_bugs(dialect, profile);
     for stmt in &log {
         let _ = faulty.execute(stmt);
     }

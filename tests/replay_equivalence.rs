@@ -41,7 +41,7 @@ use rand::SeedableRng;
 fn generate_log(seed: u64, dialect: Dialect, profile: &BugProfile) -> Vec<Statement> {
     let gen = GenConfig::tiny();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut engine = Engine::with_bugs(dialect, profile.clone());
+    let mut engine = Engine::with_bugs(dialect, *profile);
     let (mut log, _) =
         StateGenerator::new(dialect, gen.clone()).generate_database(&mut rng, &mut engine);
     let mut probe_rng = StdRng::seed_from_u64(seed ^ 0x0BAD_5EED);
@@ -66,7 +66,7 @@ fn full_replay_digest(
     profile: &BugProfile,
     log: &[Statement],
 ) -> lancer_core::StateDigest {
-    let mut engine = Engine::with_bugs(dialect, profile.clone());
+    let mut engine = Engine::with_bugs(dialect, *profile);
     for stmt in log {
         let _ = engine.execute(stmt);
     }
@@ -91,7 +91,7 @@ proptest! {
         let log = generate_log(seed, dialect, &profile);
         let reference = full_replay_digest(dialect, &profile, &log);
         for split in [log.len() / 3, log.len() / 2, log.len()] {
-            let mut prefix_engine = Engine::with_bugs(dialect, profile.clone());
+            let mut prefix_engine = Engine::with_bugs(dialect, profile);
             for stmt in &log[..split] {
                 let _ = prefix_engine.execute(stmt);
             }
@@ -131,7 +131,7 @@ proptest! {
         let log = generate_log(seed, dialect, &profile);
         let split = log.len() / 2;
         let reference = full_replay_digest(dialect, &profile, &log);
-        let mut engine = Engine::with_bugs(dialect, profile.clone());
+        let mut engine = Engine::with_bugs(dialect, profile);
         for stmt in &log[..split] {
             let _ = engine.execute(stmt);
         }
@@ -283,7 +283,7 @@ fn first_divergence(
     let setup = &log[..log.len() - 1];
     let trigger = log.last().unwrap();
     let mut clean = Engine::new(dialect);
-    let mut faulty = Engine::with_bugs(dialect, profile.clone());
+    let mut faulty = Engine::with_bugs(dialect, *profile);
     for stmt in setup {
         let _ = clean.execute(stmt);
         let _ = faulty.execute(stmt);
